@@ -7,11 +7,18 @@ constraint or of the maximum dissipation principle.
 
 Units are whatever the caller puts into (G, g); the simulator uses impulses
 and velocities.
+
+The sweep and the residual work on Python floats, one contact at a time,
+through one scalar cone projection. Each contact is a 3-vector block and
+scenes have a handful of contacts, so a numpy call on a block costs more in
+dispatch than its arithmetic; numpy is kept for the once-per-solve work
+(block norms, the exact sigma = G lambda + g).
 """
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -71,31 +78,47 @@ class ContactSolution:
     converged: bool
 
 
+def _project(a: float, b: float, n: float, mu: float):
+    """Euclidean projection of (a, b, n) onto the cone |(a, b)| <= mu n,
+    as Python floats."""
+    s = math.hypot(a, b)
+    if s <= mu * n:
+        return a, b, n
+    if mu * s <= -n:
+        return 0.0, 0.0, 0.0
+    proj_n = (mu * s + n) / (1.0 + mu * mu)
+    if s > 0.0:
+        return mu * proj_n * a / s, mu * proj_n * b / s, proj_n
+    return 0.0, 0.0, proj_n
+
+
+def _cone_distance(a: float, b: float, n: float, mu: float) -> float:
+    pa, pb, pn = _project(a, b, n, mu)
+    return math.hypot(a - pa, b - pb, n - pn)
+
+
+def _triples(x):
+    """Consecutive (t1, t2, normal) triples of a flat sequence."""
+    it = iter(x)
+    return zip(it, it, it)
+
+
+def _floats(x) -> list:
+    return x.tolist() if isinstance(x, np.ndarray) else list(x)
+
+
 def cone_project(lam: np.ndarray, mu: float) -> np.ndarray:
     """Euclidean projection onto the friction cone |lam_T| <= mu lam_N."""
-    s = float(np.hypot(lam[0], lam[1]))
-    if s <= mu * lam[2]:
-        return lam.copy()
-    if mu * s <= -lam[2]:
-        return np.zeros(3)
-    proj_n = (mu * s + lam[2]) / (1.0 + mu * mu)
-    out = np.empty(3)
-    if s > 0.0:
-        out[:2] = mu * proj_n * lam[:2] / s
-    else:
-        out[:2] = 0.0
-    out[2] = proj_n
-    return out
+    return np.array(_project(float(lam[0]), float(lam[1]), float(lam[2]), mu))
 
 
 def dual_cone_project(y: np.ndarray, mu: float) -> np.ndarray:
     """Projection onto the dual cone K_mu^* (= K_{1/mu}; halfspace y_N >= 0
     at mu = 0)."""
+    a, b, n = float(y[0]), float(y[1]), float(y[2])
     if mu == 0.0:
-        out = y.copy()
-        out[2] = max(out[2], 0.0)
-        return out
-    return cone_project(y, 1.0 / mu)
+        return np.array([a, b, max(n, 0.0)])
+    return np.array(_project(a, b, n, 1.0 / mu))
 
 
 def de_saxce_correction(sigma: np.ndarray, mu) -> np.ndarray:
@@ -107,15 +130,10 @@ def de_saxce_correction(sigma: np.ndarray, mu) -> np.ndarray:
     return out.reshape(sigma.shape)
 
 
-def _corrected(sigma3, mu):
-    y = sigma3.copy()
-    y[2] += mu * np.hypot(sigma3[0], sigma3[1])
-    return y
-
-
-def ncp_residual(problem: ContactProblem, lam: np.ndarray, sigma=None) -> float:
+def ncp_residual(problem: ContactProblem, lam, sigma=None) -> float:
     """Worst per-contact violation of cone feasibility, dual feasibility,
     complementarity and slip alignment, normalized by max(1, |g|_inf).
+    lam and sigma may be arrays or flat sequences of floats.
 
     The alignment term |lam_T |sigma_T| + mu lam_N sigma_T| is first order
     in the angle between the friction impulse and the slip direction;
@@ -124,20 +142,22 @@ def ncp_residual(problem: ContactProblem, lam: np.ndarray, sigma=None) -> float:
     if problem.n == 0:
         return 0.0
     if sigma is None:
-        sigma = problem.G @ lam + problem.g
+        sigma = problem.G @ np.asarray(lam, dtype=float) + problem.g
     worst = 0.0
-    for c in range(problem.n):
-        mu = float(problem.mu[c])
-        lc = lam[3 * c : 3 * c + 3]
-        sc = sigma[3 * c : 3 * c + 3]
-        y = _corrected(sc, mu)
-        r = np.linalg.norm(lc - cone_project(lc, mu))
-        r = max(r, np.linalg.norm(y - dual_cone_project(y, mu)))
-        r = max(r, abs(float(lc @ y)))
-        s_t = float(np.hypot(sc[0], sc[1]))
-        r = max(r, float(np.linalg.norm(lc[:2] * s_t + mu * lc[2] * sc[:2])))
-        worst = max(worst, r)
-    return worst / max(1.0, float(np.abs(problem.g).max()))
+    mus = np.asarray(problem.mu, dtype=float).tolist()
+    for mu, (l0, l1, l2), (s0, s1, s2) in zip(mus, _triples(_floats(lam)),
+                                               _triples(_floats(sigma))):
+        s_t = math.hypot(s0, s1)
+        y2 = s2 + mu * s_t  # normal part of y = sigma + Gamma(sigma)
+        dual = max(-y2, 0.0) if mu == 0.0 else _cone_distance(s0, s1, y2, 1.0 / mu)
+        worst = max(
+            worst,
+            _cone_distance(l0, l1, l2, mu),
+            dual,
+            abs(l0 * s0 + l1 * s1 + l2 * y2),
+            math.hypot(l0 * s_t + mu * l2 * s0, l1 * s_t + mu * l2 * s1),
+        )
+    return worst / max(1.0, max(map(abs, problem.g.tolist())))
 
 
 def solve_ncp(problem: ContactProblem, tol: float = 1e-10, max_iters: int = 10000,
@@ -147,39 +167,44 @@ def solve_ncp(problem: ContactProblem, tol: float = 1e-10, max_iters: int = 1000
     Per contact: lam_c <- project_K(lam_c - (sigma_c + Gamma(sigma_c)) / s_c)
     with s_c the spectral norm of the diagonal block. Deterministic sweep
     order = contact order; warm starts shift the iterate only, never the
-    fixed point."""
+    fixed point. The sweep runs on Python floats (see the module note)."""
     n = problem.n
     if n == 0:
         return ContactSolution(np.zeros(0), np.zeros(0), [], np.zeros(0, bool), 0, 0.0, True)
     G, g = problem.G, problem.g
-    lam = np.zeros(3 * n)
-    if warm_start is not None and warm_start.shape == lam.shape:
-        for c in range(n):
-            lam[3 * c : 3 * c + 3] = cone_project(warm_start[3 * c : 3 * c + 3], float(problem.mu[c]))
-    scales = np.empty(n)
+    mus = np.asarray(problem.mu, dtype=float).tolist()
+    lam = [0.0] * (3 * n)
+    if warm_start is not None and warm_start.shape == (3 * n,):
+        for c, (a, b, nrm) in enumerate(_triples(warm_start.tolist())):
+            lam[3 * c : 3 * c + 3] = _project(a, b, nrm, mus[c])
+    scales = []
+    cols = []
     for c in range(n):
-        blk = G[3 * c : 3 * c + 3, 3 * c : 3 * c + 3]
-        s = float(np.linalg.norm(blk, 2))
-        scales[c] = s if s > 1e-14 else 1.0
-    sigma = G @ lam + g
+        s = float(np.linalg.norm(G[3 * c : 3 * c + 3, 3 * c : 3 * c + 3], 2))
+        scales.append(s if s > 1e-14 else 1.0)
+        cols.append(G[:, 3 * c : 3 * c + 3].T.tolist())
+    sigma = (G @ np.array(lam) + g).tolist()
     residual = ncp_residual(problem, lam, sigma)
     converged = residual <= tol
     sweeps = 0
     while not converged and sweeps < max_iters:
         sweeps += 1
-        for c in range(n):
+        for c, (mu, s, (c0, c1, c2)) in enumerate(zip(mus, scales, cols)):
             i = 3 * c
-            mu = float(problem.mu[c])
-            y = _corrected(sigma[i : i + 3], mu)
-            new = cone_project(lam[i : i + 3] - y / scales[c], mu)
-            dlam = new - lam[i : i + 3]
-            if dlam[0] != 0.0 or dlam[1] != 0.0 or dlam[2] != 0.0:
-                sigma += G[:, i : i + 3] @ dlam
-                lam[i : i + 3] = new
+            l0, l1, l2 = lam[i : i + 3]
+            s0, s1, s2 = sigma[i : i + 3]
+            y2 = s2 + mu * math.hypot(s0, s1)
+            p0, p1, p2 = _project(l0 - s0 / s, l1 - s1 / s, l2 - y2 / s, mu)
+            d0, d1, d2 = p0 - l0, p1 - l1, p2 - l2
+            if d0 != 0.0 or d1 != 0.0 or d2 != 0.0:
+                sigma = [x + (a * d0 + b * d1 + e * d2)
+                         for x, a, b, e in zip(sigma, c0, c1, c2)]
+                lam[i : i + 3] = p0, p1, p2
         if sweeps % 128 == 0:
-            sigma = G @ lam + g  # refresh incremental updates
+            sigma = (G @ np.array(lam) + g).tolist()  # refresh incremental updates
         residual = ncp_residual(problem, lam, sigma)
         converged = residual <= tol
+    lam = np.array(lam)
     sigma = G @ lam + g
     residual = ncp_residual(problem, lam, sigma)
     modes, ambiguous = classify_modes(problem, lam, sigma, thresholds)

@@ -38,7 +38,7 @@ from .model import (
     integrate_jacobians,
     jv_q_derivatives,
 )
-from .spatial import adjoint, adjoint_inverse, motion_cross, p_operator
+from .spatial import adjoint_inverse, motion_cross, p_operator
 
 
 class SingularSlidingMode(ValueError):
@@ -240,6 +240,7 @@ class StepJacobian:
     rank_deficient: bool = False
     boundary: bool = False
     ambiguous: bool = False
+    converged: bool = True          # the NCP solve of the step met its tolerance
 
 
 _THETAS = ("q", "v", "tau")
@@ -276,6 +277,7 @@ def step_jacobian(model: KinematicModel, state, tau, params, result, theta="all"
         packs = _contact_packs(model, kin, contacts, params.contact_margin)
         out.boundary = any(p.boundary for p in packs)
         out.ambiguous = bool(result.solution.ambiguous.any())
+        out.converged = result.solution.converged
         J_c = result.J_c
         # Frozen-impulse generalized-force variation: fixed world wrench per
         # contact plus the frame-variation corrections.

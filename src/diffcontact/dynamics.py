@@ -18,7 +18,6 @@ from scipy.linalg import cho_factor, cho_solve
 from .model import (
     KinematicModel,
     Kinematics,
-    body_jacobian_world,
     compute_kinematics,
 )
 from .spatial import (
@@ -151,13 +150,6 @@ def ufd(model: KinematicModel, q, v, tau, J_c=None, lam=None) -> np.ndarray:
     return dyn.solve(rhs)
 
 
-@dataclass
-class UfdDerivatives:
-    dq: np.ndarray
-    dv: np.ndarray
-    dtau: np.ndarray
-
-
 def id_state_derivatives(model: KinematicModel, kin: Kinematics, Iw, v, a):
     """Analytic partials of inverse_dynamics w.r.t. the tangent of q and
     w.r.t. v, at fixed a.
@@ -250,38 +242,6 @@ def applied_wrench_q_derivative(model: KinematicModel, kin: Kinematics, wrenches
         P_b = kin.psi * model.support[:, b]
         out -= (P_b.T @ force_cross_cols(kin.psi, phi)) * model.row_support
     return out
-
-
-def ufd_derivatives(model: KinematicModel, q, v, tau, J_c=None, lam=None) -> UfdDerivatives:
-    """Partials of ufd with the contact force J_c^T lambda held constant.
-
-    The variation of the contact Jacobian itself (kinematic and through the
-    contact frame) is handled by the step-derivative assembly, not here."""
-    kin = compute_kinematics(model, q)
-    dyn = compute_dynamics(model, kin, v)
-    rhs = tau - dyn.bias
-    if J_c is not None and J_c.size:
-        rhs = rhs + J_c.T @ lam
-    a = dyn.solve(rhs)
-    dID_q, dID_v = id_state_derivatives(model, kin, dyn.inertias_world, v, a)
-    return UfdDerivatives(
-        dq=-dyn.solve(dID_q), dv=-dyn.solve(dID_v), dtau=dyn.solve(np.eye(model.nv))
-    )
-
-
-def delassus(model: KinematicModel, q, J_c: np.ndarray) -> np.ndarray:
-    """Contact-space inverse inertia G = J_c M^-1 J_c^T (symmetric PSD)."""
-    kin = compute_kinematics(model, q)
-    dyn = compute_dynamics(model, kin, np.zeros(model.nv))
-    G = J_c @ dyn.solve(J_c.T)
-    return 0.5 * (G + G.T)
-
-
-def free_velocity(model: KinematicModel, q, v, tau, J_c: np.ndarray, dt: float) -> np.ndarray:
-    """Contact-space velocity after a contact-free step: J_c (v + dt vdot_f)."""
-    kin = compute_kinematics(model, q)
-    dyn = compute_dynamics(model, kin, v)
-    return J_c @ (v + dt * dyn.solve(tau - dyn.bias))
 
 
 def kinetic_energy(model: KinematicModel, q, v) -> float:

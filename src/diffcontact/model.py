@@ -18,7 +18,6 @@ import numpy as np
 
 from .spatial import (
     Placement,
-    SpatialMotion,
     adjoint,
     adjoint_inverse,
     motion_cross_cols,
@@ -76,17 +75,6 @@ class FrictionPair:
     geom_a: int
     geom_b: int
     mu: float
-
-
-@dataclass(frozen=True)
-class Frame:
-    """World-anchored frame rigidly attached to a body.
-
-    The placement is a fixed world pose; kinematic quantities of the frame
-    follow the body's spatial velocity field evaluated there."""
-
-    body: int
-    placement: Placement
 
 
 class KinematicModel:
@@ -349,29 +337,3 @@ def jv_q_derivatives(model: KinematicModel, kin: Kinematics, v: np.ndarray):
         inc = motion_cross_cols(kin.psi * model.support[:, i], w_i)
         dJv[i] = (dJv[par] if par >= 0 else 0.0) + inc
     return dJv, V
-
-
-def frame_jacobian(model: KinematicModel, q_or_kin, frame: Frame) -> np.ndarray:
-    """6 x nv Jacobian mapping v to the frame-local spatial velocity."""
-    kin = q_or_kin if isinstance(q_or_kin, Kinematics) else compute_kinematics(model, q_or_kin)
-    Jw = body_jacobian_world(model, kin, frame.body)
-    return adjoint_inverse(frame.placement) @ Jw
-
-
-def frame_velocity(model: KinematicModel, q, v, frame: Frame) -> SpatialMotion:
-    """Spatial velocity of a body-attached frame, in frame coordinates."""
-    x = frame_jacobian(model, q, frame) @ v
-    return SpatialMotion(x[:3], x[3:])
-
-
-def fkv_derivatives(model: KinematicModel, q, v, frame: Frame):
-    """Partials of frame_velocity w.r.t. the tangent of q and w.r.t. v.
-
-    The frame's world placement is held fixed; only the body velocity field
-    varies with q."""
-    kin = compute_kinematics(model, q)
-    Xinv = adjoint_inverse(frame.placement)
-    dJv, _ = jv_q_derivatives(model, kin, v)
-    dq = Xinv @ (dJv[frame.body] if frame.body >= 0 else np.zeros((6, model.nv)))
-    dv = Xinv @ body_jacobian_world(model, kin, frame.body)
-    return dq, dv

@@ -12,6 +12,7 @@ further by the kp gain when penetrating, and a kd damping term on all rows.
 from __future__ import annotations
 
 import dataclasses
+import logging
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,6 +22,8 @@ from .contact import ContactProblem, ContactSolution, ModeThresholds, solve_ncp
 from .dynamics import compute_dynamics
 from .model import KinematicModel, body_jacobian_world, compute_kinematics, integrate
 from .spatial import adjoint_inverse
+
+log = logging.getLogger("diffcontact")
 
 _step_calls = 0
 
@@ -156,6 +159,9 @@ def step(model: KinematicModel, state: SimState, tau=None, params: SimParams | N
     problem = ContactProblem(G=G, g=g, mu=mu)
     solution = solve_ncp(problem, tol=params.ncp_tol, max_iters=params.ncp_max_iters,
                          warm_start=lam0, thresholds=params.thresholds)
+    if not solution.converged:
+        log.warning("NCP solve not converged: %d sweeps, residual %.3g, ncp_tol %.3g",
+                    solution.iterations, solution.residual, params.ncp_tol)
 
     v_next = v_free + dyn.solve(J_c.T @ solution.lam)
     q_next = integrate(model, state.q, dt * v_next)

@@ -52,26 +52,6 @@ class Placement:
         return float(np.abs(R.T @ R - np.eye(3)).max())
 
 
-@dataclass(frozen=True)
-class SpatialMotion:
-    angular: np.ndarray
-    linear: np.ndarray
-
-    @property
-    def vector(self) -> np.ndarray:
-        return np.concatenate([self.angular, self.linear])
-
-
-@dataclass(frozen=True)
-class SpatialForce:
-    torque: np.ndarray
-    force: np.ndarray
-
-    @property
-    def vector(self) -> np.ndarray:
-        return np.concatenate([self.torque, self.force])
-
-
 def adjoint(M: Placement) -> np.ndarray:
     """6x6 adjoint of a placement; maps local motions to world motions."""
     R = M.rotation

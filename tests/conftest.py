@@ -3,8 +3,16 @@
 All finite differencing in the suite goes through diffcontact.fd, the same
 oracle the CLI fdcheck subcommand uses.
 """
-import numpy as np
-import pytest
+import os
+
+# One BLAS thread, as benchmark/run.py pins it, set before numpy loads.
+# Default threading on these tiny matrices only adds contention, and with
+# it the wall-clock budget of acceptance criterion 1 was once overrun.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+import numpy as np  # noqa: E402
+import pytest  # noqa: E402
 
 from diffcontact.collision import Box, Halfspace, Sphere
 from diffcontact.model import (

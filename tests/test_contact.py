@@ -248,3 +248,103 @@ def test_empty_problem():
     sol = solve_ncp(prob)
     assert sol.converged and sol.lam.size == 0
     assert ncp_residual(prob, sol.lam) == 0.0
+
+
+def reference_residual(prob, lam, sigma):
+    """ncp_residual written out on numpy 3-vectors with the public
+    projections."""
+    worst = 0.0
+    for c in range(prob.n):
+        mu = float(prob.mu[c])
+        lc = lam[3 * c : 3 * c + 3]
+        sc = sigma[3 * c : 3 * c + 3]
+        s_t = float(np.hypot(sc[0], sc[1]))
+        y = sc + np.array([0.0, 0.0, mu * s_t])
+        worst = max(
+            worst,
+            np.linalg.norm(lc - cone_project(lc, mu)),
+            np.linalg.norm(y - dual_cone_project(y, mu)),
+            abs(float(lc @ y)),
+            float(np.linalg.norm(lc[:2] * s_t + mu * lc[2] * sc[:2])),
+        )
+    return worst / max(1.0, float(np.abs(prob.g).max()))
+
+
+# (t1, t2, normal) with the normal placed relative to the cone of the
+# contact's mu: inside it, in its polar cone, or anywhere in between.
+# Radii and offsets stay well above 1e-154, where the reference's squared
+# norms underflow to zero.
+_where = st.sampled_from(["inside", "polar", "between"])
+_unit = st.one_of(st.just(0.0), st.floats(1e-3, 1.0))
+_radius = st.one_of(st.just(0.0), st.floats(1e-3, 5.0))
+
+
+def _triple(mu, where, r, angle, t):
+    a, b = r * np.cos(2 * np.pi * angle), r * np.sin(2 * np.pi * angle)
+    if where == "inside":
+        if mu == 0.0:
+            return [0.0, 0.0, r * (1.0 + t)]
+        return [a, b, r * (1.0 + t) / mu]
+    if where == "polar":
+        return [a, b, -r * (mu + t)]
+    return [a, b, r * (2.0 * t - 1.0) * (1.0 + mu)]
+
+
+_contact = st.tuples(
+    st.one_of(st.just(0.0), st.floats(0.01, 2.0)),
+    _where, _radius, _unit, _unit,
+    _where, _radius, _unit, _unit,
+)
+
+
+@given(st.lists(_contact, min_size=1, max_size=4), st.floats(0.0, 4.0))
+@settings(max_examples=300, deadline=None)
+def test_residual_matches_numpy_reference(contacts, g_scale):
+    mu = np.array([c[0] for c in contacts])
+    lam = np.array([x for c in contacts for x in _triple(c[0], *c[1:5])])
+    sigma = np.array([x for c in contacts for x in _triple(c[0], *c[5:9])])
+    n = len(contacts)
+    g = g_scale * np.cos(np.arange(3 * n))
+    prob = ContactProblem(np.eye(3 * n), g, mu)
+    expect = reference_residual(prob, lam, sigma)
+    assert ncp_residual(prob, lam, sigma) == pytest.approx(expect, rel=1e-12, abs=0.0)
+    assert ncp_residual(prob, lam.tolist(), sigma.tolist()) == ncp_residual(prob, lam, sigma)
+    # sigma defaults to G lam + g
+    assert ncp_residual(prob, lam) == ncp_residual(prob, lam, lam + g)
+
+
+def numpy_pgs(prob, sweeps, warm_start):
+    """The PGS iteration of solve_ncp written on numpy blocks: De Saxce
+    step, cone projection, incremental sigma update and the refresh of
+    sigma every 128 sweeps."""
+    G, g, n = prob.G, prob.g, prob.n
+    lam = np.concatenate([cone_project(warm_start[3 * c : 3 * c + 3], prob.mu[c])
+                          for c in range(n)])
+    scales = [np.linalg.norm(G[3 * c : 3 * c + 3, 3 * c : 3 * c + 3], 2) for c in range(n)]
+    scales = [s if s > 1e-14 else 1.0 for s in scales]
+    sigma = G @ lam + g
+    for k in range(1, sweeps + 1):
+        for c in range(n):
+            i = 3 * c
+            y = sigma[i : i + 3] + de_saxce_correction(sigma[i : i + 3], prob.mu[c])
+            new = cone_project(lam[i : i + 3] - y / scales[c], prob.mu[c])
+            sigma = sigma + G[:, i : i + 3] @ (new - lam[i : i + 3])
+            lam[i : i + 3] = new
+        if k % 128 == 0:
+            sigma = G @ lam + g
+    return lam
+
+
+@pytest.mark.parametrize("sweeps", [1, 7, 130])
+def test_solver_iterates_match_numpy_sweep(sweeps):
+    gen = np.random.default_rng(46)
+    prob = random_psd_problem(gen, 4)
+    prob = ContactProblem(prob.G, prob.g, np.array([0.0, *prob.mu[1:]]))
+    warm = gen.normal(size=12)
+    sol = solve_ncp(prob, tol=0.0, max_iters=sweeps, warm_start=warm)
+    assert sol.iterations == sweeps and not sol.converged
+    lam = numpy_pgs(prob, sweeps, warm)
+    np.testing.assert_allclose(sol.lam, lam, rtol=0, atol=1e-12 * np.abs(lam).max())
+    np.testing.assert_allclose(sol.sigma, prob.G @ lam + prob.g, rtol=0,
+                               atol=1e-12 * np.abs(sol.sigma).max())
+    assert sol.residual == pytest.approx(reference_residual(prob, lam, sol.sigma), rel=1e-10)

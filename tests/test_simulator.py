@@ -1,10 +1,15 @@
 """Stepping semantics: closed-form free flight, symplectic update contract,
 settling and resting behavior, determinism, and rollout derivatives."""
+import dataclasses
+import logging
+
 import numpy as np
 import pytest
 
 from conftest import cube_model, cube_state, sphere_model, tight_params
+from diffcontact.cli import load_scene
 from diffcontact.contact import Mode
+from diffcontact.derivatives import step_jacobian
 from diffcontact.fd import fd_rollout_jacobian
 from diffcontact.model import difference, integrate
 from diffcontact.simulator import (
@@ -222,3 +227,21 @@ def test_rollout_final_state_matches_stepwise():
     assert np.array_equal(results[-1].state.q, s.q)
     assert np.array_equal(results[-1].state.v, s.v)
     assert np.linalg.norm(difference(model, state.q, s.q)) > 1e-3
+
+
+def test_unconverged_step_warns_and_flags_jacobian(caplog):
+    model, state, params = load_scene("chain12")
+    with caplog.at_level(logging.WARNING, logger="diffcontact"):
+        res = step(model, state, None, params)
+    assert res.solution.converged and not caplog.records
+    assert step_jacobian(model, state, None, params, res).converged
+
+    capped = dataclasses.replace(params, ncp_max_iters=1)
+    with caplog.at_level(logging.WARNING, logger="diffcontact"):
+        res = step(model, state, None, capped)
+    assert not res.solution.converged
+    [record] = caplog.records
+    assert record.name == "diffcontact" and record.levelno == logging.WARNING
+    assert "1 sweeps" in record.getMessage()
+    assert f"ncp_tol {params.ncp_tol:.3g}" in record.getMessage()
+    assert not step_jacobian(model, state, None, capped, res).converged
