@@ -216,8 +216,6 @@ def _jacobian_rows(jac, thetas):
     for blk in _BLOCK_ORDER:
         store = getattr(jac, blk)
         for t in thetas:
-            if t not in store:
-                continue
             mat = store[t]
             for i in range(mat.shape[0]):
                 rows.append([blk, t, i] + [float(x) for x in mat[i]])
@@ -228,7 +226,7 @@ def cmd_jacobian(args) -> int:
     model, state, params = load_scene(args.scene)
     res = step(model, state, None, params)
     jac = step_jacobian(model, state, None, params, res, theta=args.theta)
-    thetas = ("q", "v", "tau", "mu") if args.theta == "all" else (args.theta,)
+    thetas = ("q", "v", "tau") if args.theta == "all" else (args.theta,)
     rows = _jacobian_rows(jac, thetas)
     if args.out:
         _write_csv(args.out, ["block", "theta", "row", "values..."], rows)

@@ -28,13 +28,13 @@ from . import collision as co
 from .contact import ContactProblem, ContactSolution, Mode
 from .dynamics import (
     applied_wrench_q_derivative,
-    compute_dynamics,
+    compute_dynamics,  # noqa: F401  unused; the benchmark tracer patches this name
     id_state_derivatives,
 )
 from .model import (
     KinematicModel,
     body_jacobian_world,
-    compute_kinematics,
+    compute_kinematics,  # noqa: F401  unused; the benchmark tracer patches this name
     integrate_jacobians,
     jv_q_derivatives,
 )
@@ -246,126 +246,158 @@ class StepJacobian:
 _THETAS = ("q", "v", "tau")
 
 
-def step_jacobian(model: KinematicModel, state, tau, params, result, theta="all") -> StepJacobian:
-    """Derivatives of (v+, q+, lambda*) w.r.t. theta in {q, v, tau, mu}.
+def _parse_theta(theta, npairs: int):
+    """Split a step_jacobian theta into the smooth blocks (in _THETAS order)
+    and the friction pair columns (None when no mu block is wanted)."""
+    smooth, mu_cols = set(), None
+    for t in theta if isinstance(theta, list) else [theta]:
+        if t == "all":
+            smooth.update(_THETAS)
+        elif t in _THETAS:
+            smooth.add(t)
+        elif t == "mu":
+            mu_cols = list(range(npairs))
+        elif (isinstance(t, tuple) and len(t) == 2 and t[0] == "mu"
+              and isinstance(t[1], int) and 0 <= t[1] < npairs):
+            mu_cols = [t[1]]
+        else:
+            raise ValueError(
+                f"theta must be 'all', 'q', 'v', 'tau', 'mu', ('mu', k) with 0 <= k < "
+                f"{npairs}, or a list of these; got {t!r}")
+    if not smooth and mu_cols is None:
+        raise ValueError("theta requests no block")
+    return [t for t in _THETAS if t in smooth], mu_cols
 
-    `result` must come from simulator.step at (state, tau, params).
-    Breaking contacts contribute zero derivative rows; at the activation
-    boundary this is the one-sided derivative from the inactive side."""
-    thetas = _THETAS if theta == "all" else (theta,)
-    want_mu = any((t == "mu") or (isinstance(t, tuple) and t[0] == "mu") for t in thetas)
-    smooth = [t for t in thetas if t in _THETAS]
-    if want_mu and theta != "all":
-        smooth = []
 
-    q, v = state.q, state.v
+def _frozen_impulse_rhs(model, state, params, result, packs, smooth):
+    """Per smooth theta block: dvp, the derivative of v+ at frozen impulse,
+    and rhs = dG lambda* + dg, the frozen-impulse derivative of the contact
+    velocity sigma (3n x nv)."""
+    dyn = result.dyn
+    kin = dyn.kin
+    v = state.v
     dt = params.dt
     nv = model.nv
+    kd = params.baumgarte_kd
     v_plus = result.state.v
     contacts = result.contacts
-    n = len(contacts)
 
-    kin = compute_kinematics(model, q)
-    dyn = compute_dynamics(model, kin, v)
-    a_star = (v_plus - v) / dt
-    dID_q, dID_v = id_state_derivatives(model, kin, dyn.inertias_world, v, a_star)
-
-    out = StepJacobian()
     dvp = {}
-    if n:
-        lam = result.solution.lam
-        packs = _contact_packs(model, kin, contacts, params.contact_margin)
-        out.boundary = any(p.boundary for p in packs)
-        out.ambiguous = bool(result.solution.ambiguous.any())
-        out.converged = result.solution.converged
-        J_c = result.J_c
-        # Frozen-impulse generalized-force variation: fixed world wrench per
-        # contact plus the frame-variation corrections.
-        wrenches = np.zeros((model.nb, 6))
-        JTL = np.zeros((nv, nv))
-        for i, (frame, pack) in enumerate(zip(contacts, packs)):
-            lam_c = lam[3 * i : 3 * i + 3]
-            phi_w = adjoint_inverse(frame.placement).T @ np.concatenate([np.zeros(3), lam_c])
-            if frame.body1 >= 0:
-                wrenches[frame.body1] += phi_w
-            if frame.body2 >= 0:
-                wrenches[frame.body2] -= phi_w
-            JTL += collision_correction_jtl(pack, lam_c)
-        dJtlam = applied_wrench_q_derivative(model, kin, wrenches) + JTL
-
+    if "q" in smooth or "v" in smooth:
+        dID_q, dID_v = id_state_derivatives(model, kin, dyn.inertias_world, v, (v_plus - v) / dt)
     if "q" in smooth:
-        dvp["q"] = -dt * dyn.solve(dID_q) + (dyn.solve(dJtlam) if n else 0.0)
+        dvp["q"] = -dt * dyn.solve(dID_q)
+        if contacts:
+            # Frozen-impulse generalized-force variation: fixed world wrench
+            # per contact plus the frame-variation corrections.
+            lam = result.solution.lam
+            wrenches = np.zeros((model.nb, 6))
+            JTL = np.zeros((nv, nv))
+            for i, (frame, pack) in enumerate(zip(contacts, packs)):
+                lam_c = lam[3 * i : 3 * i + 3]
+                phi_w = adjoint_inverse(frame.placement).T @ np.concatenate([np.zeros(3), lam_c])
+                if frame.body1 >= 0:
+                    wrenches[frame.body1] += phi_w
+                if frame.body2 >= 0:
+                    wrenches[frame.body2] -= phi_w
+                JTL += collision_correction_jtl(pack, lam_c)
+            dvp["q"] += dyn.solve(applied_wrench_q_derivative(model, kin, wrenches) + JTL)
     if "v" in smooth:
         dvp["v"] = np.eye(nv) - dt * dyn.solve(dID_v)
     if "tau" in smooth:
         dvp["tau"] = dt * dyn.solve(np.eye(nv))
 
-    if n == 0:
-        for t in smooth:
-            out.dv[t] = dvp[t]
-            out.dlam[t] = np.zeros((0, nv))
-        if want_mu:
-            ncols = 1 if isinstance(theta, tuple) else len(model.pairs)
-            out.dv["mu"] = np.zeros((nv, ncols))
-            out.dlam["mu"] = np.zeros((0, ncols))
-    else:
-        rs = assemble_reduced_system(result.problem, result.solution)
-        rhs = {}
-        if smooth:
-            dJv_plus, _ = jv_q_derivatives(model, kin, v_plus)
-            kd = params.baumgarte_kd
+    rhs = {t: result.J_c @ dvp[t] for t in smooth}
+    # Kinematic + frame variation of J_c v+ and the stabilization terms:
+    # theta = q only, except the K_d term, which v has too; tau has none.
+    if "q" in smooth and contacts:
+        dJv_plus, _ = jv_q_derivatives(model, kin, v_plus)
+        if kd != 0.0:
+            dJv_now, _ = jv_q_derivatives(model, kin, v)
+        for i, (frame, pack) in enumerate(zip(contacts, packs)):
+            Xc_inv = adjoint_inverse(frame.placement)
+            b1, b2 = frame.body1, frame.body2
+            dJvd = (dJv_plus[b1] if b1 >= 0 else 0.0) - (dJv_plus[b2] if b2 >= 0 else 0.0)
+            rows = (Xc_inv @ dJvd)[3:] + collision_correction_jv(pack, v_plus)
+            gain = (1.0 - params.baumgarte_kp * (1.0 if frame.signed_distance < 0.0 else 0.0)) / dt
+            rows[2] += gain * pack.dphi_dq
             if kd != 0.0:
-                dJv_now, _ = jv_q_derivatives(model, kin, v)
-            for t in smooth:
-                rhs[t] = J_c @ dvp[t]
-            # Kinematic + frame variation of J_c v+ and the stabilization
-            # terms, all theta = q only (tau has none, v only the K_d term).
-            for i, (frame, pack) in enumerate(zip(contacts, packs)):
-                Xc_inv = adjoint_inverse(frame.placement)
-                b1, b2 = frame.body1, frame.body2
-                if "q" in smooth:
-                    dJvd = (dJv_plus[b1] if b1 >= 0 else 0.0) - (dJv_plus[b2] if b2 >= 0 else 0.0)
-                    rows = (Xc_inv @ dJvd)[3:] + collision_correction_jv(pack, v_plus)
-                    phi = frame.signed_distance
-                    gain = (1.0 - params.baumgarte_kp * (1.0 if phi < 0.0 else 0.0)) / dt
-                    rows[2] += gain * pack.dphi_dq
-                    if kd != 0.0:
-                        dJvd0 = (dJv_now[b1] if b1 >= 0 else 0.0) - (dJv_now[b2] if b2 >= 0 else 0.0)
-                        rows -= kd * ((Xc_inv @ dJvd0)[3:] + collision_correction_jv(pack, v))
-                    rhs["q"][3 * i : 3 * i + 3] += rows
-                if "v" in smooth and kd != 0.0:
-                    rhs["v"][3 * i : 3 * i + 3] -= kd * pack.Jc6[3:]
-        for t in smooth:
+                dJvd0 = (dJv_now[b1] if b1 >= 0 else 0.0) - (dJv_now[b2] if b2 >= 0 else 0.0)
+                rows -= kd * ((Xc_inv @ dJvd0)[3:] + collision_correction_jv(pack, v))
+            rhs["q"][3 * i : 3 * i + 3] += rows
+    if "v" in smooth and kd != 0.0:
+        for i, pack in enumerate(packs):
+            rhs["v"][3 * i : 3 * i + 3] -= kd * pack.Jc6[3:]
+    return dvp, rhs
+
+
+def _mu_impulse_direction(model, result, cols) -> np.ndarray:
+    """d lambda / d mu along the sliding cone boundary at fixed sigma, one
+    column per pair in `cols`; zero for non-sliding contacts."""
+    pair_index = {(p.geom_a, p.geom_b): k for k, p in enumerate(model.pairs)}
+    sol = result.solution
+    p_dir = np.zeros((3 * len(result.contacts), len(cols)))
+    for i, frame in enumerate(result.contacts):
+        k = pair_index[frame.pair]
+        if sol.modes[i] is not Mode.SLIDING or k not in cols:
+            continue
+        col = cols.index(k)
+        mu = frame.friction
+        lam_n = sol.lam[3 * i + 2]
+        sig = sol.sigma[3 * i : 3 * i + 3]
+        u = sig[:2] / np.hypot(sig[0], sig[1])
+        p_dir[3 * i : 3 * i + 2, col] = -lam_n / (1.0 + mu * mu) * u
+        p_dir[3 * i + 2, col] = -lam_n / (1.0 + mu * mu) * mu
+    return p_dir
+
+
+def step_jacobian(model: KinematicModel, state, tau, params, result, theta="all") -> StepJacobian:
+    """Derivatives of (v+, q+, lambda*) w.r.t. theta in {q, v, tau, mu}.
+
+    theta is "all" (q, v, tau), one of "q", "v", "tau", "mu" (one column
+    per friction pair) or ("mu", k) (pair k), or a list of these; anything
+    else raises ValueError. `result` must come from simulator.step at
+    (state, tau, params); its kinematics and dynamics are reused.
+    Breaking contacts contribute zero derivative rows; at the activation
+    boundary this is the one-sided derivative from the inactive side."""
+    smooth, mu_cols = _parse_theta(theta, len(model.pairs))
+    dt = params.dt
+    nv = model.nv
+    dyn = result.dyn
+    contacts = result.contacts
+    n = len(contacts)
+
+    out = StepJacobian()
+    packs = []
+    if n:
+        packs = _contact_packs(model, dyn.kin, contacts, params.contact_margin)
+        out.boundary = any(p.boundary for p in packs)
+        out.ambiguous = bool(result.solution.ambiguous.any())
+        out.converged = result.solution.converged
+        rs = assemble_reduced_system(result.problem, result.solution)
+    dvp, rhs = _frozen_impulse_rhs(model, state, params, result, packs, smooth)
+
+    for t in smooth:
+        if n:
             dlam_t, deficient = solve_reduced(rs, rhs[t])
             out.rank_deficient |= deficient
             out.dlam[t] = dlam_t
-            out.dv[t] = dvp[t] + dyn.solve(J_c.T @ dlam_t)
-        if want_mu:
-            pair_index = {(p.geom_a, p.geom_b): k for k, p in enumerate(model.pairs)}
-            wanted = [t[1] for t in ([theta] if isinstance(theta, tuple) else [])]
-            npairs = len(model.pairs)
-            cols = wanted if wanted else list(range(npairs))
-            p_dir = np.zeros((3 * n, len(cols)))
-            for i, frame in enumerate(contacts):
-                if result.solution.modes[i] is not Mode.SLIDING:
-                    continue
-                k = pair_index[frame.pair]
-                if k not in cols:
-                    continue
-                col = cols.index(k)
-                mu = frame.friction
-                lam_n = result.solution.lam[3 * i + 2]
-                sig = result.solution.sigma[3 * i : 3 * i + 3]
-                u = sig[:2] / np.hypot(sig[0], sig[1])
-                p_dir[3 * i : 3 * i + 2, col] = -lam_n / (1.0 + mu * mu) * u
-                p_dir[3 * i + 2, col] = -lam_n / (1.0 + mu * mu) * mu
+            out.dv[t] = dvp[t] + dyn.solve(result.J_c.T @ dlam_t)
+        else:
+            out.dlam[t] = np.zeros((0, nv))
+            out.dv[t] = dvp[t]
+    if mu_cols is not None:
+        if n:
+            p_dir = _mu_impulse_direction(model, result, mu_cols)
             dlam_mu, deficient = solve_reduced(rs, result.problem.G @ p_dir)
-            dlam_mu = dlam_mu + p_dir
             out.rank_deficient |= deficient
-            out.dlam["mu"] = dlam_mu
-            out.dv["mu"] = dyn.solve(J_c.T @ dlam_mu)
+            out.dlam["mu"] = dlam_mu + p_dir
+            out.dv["mu"] = dyn.solve(result.J_c.T @ out.dlam["mu"])
+        else:
+            out.dlam["mu"] = np.zeros((0, len(mu_cols)))
+            out.dv["mu"] = np.zeros((nv, len(mu_cols)))
 
-    Dq, Dd = integrate_jacobians(model, q, dt * v_plus)
+    Dq, Dd = integrate_jacobians(model, state.q, dt * result.state.v)
     for t, dv_t in out.dv.items():
         out.dq[t] = dt * (Dd @ dv_t)
         if t == "q":
@@ -378,54 +410,5 @@ def rhs_contact_velocity(model, state, tau, params, result, theta="q") -> np.nda
     derivative of the contact velocity sigma (3n x n_theta)."""
     if theta not in _THETAS:
         raise ValueError("theta must be one of 'q', 'v', 'tau'")
-    q, v = state.q, state.v
-    dt = params.dt
-    contacts = result.contacts
-    n = len(contacts)
-    if n == 0:
-        return np.zeros((0, model.nv))
-    kin = compute_kinematics(model, q)
-    dyn = compute_dynamics(model, kin, v)
-    v_plus = result.state.v
-    a_star = (v_plus - v) / dt
-    lam = result.solution.lam
-    packs = _contact_packs(model, kin, contacts, params.contact_margin)
-    J_c = result.J_c
-    if theta == "tau":
-        return J_c @ (dt * dyn.solve(np.eye(model.nv)))
-    if theta == "v":
-        dID_v = id_state_derivatives(model, kin, dyn.inertias_world, v, a_star)[1]
-        rhs = J_c @ (np.eye(model.nv) - dt * dyn.solve(dID_v))
-        if params.baumgarte_kd != 0.0:
-            for i, pack in enumerate(packs):
-                rhs[3 * i : 3 * i + 3] -= params.baumgarte_kd * pack.Jc6[3:]
-        return rhs
-    dID_q = id_state_derivatives(model, kin, dyn.inertias_world, v, a_star)[0]
-    wrenches = np.zeros((model.nb, 6))
-    JTL = np.zeros((model.nv, model.nv))
-    for i, (frame, pack) in enumerate(zip(contacts, packs)):
-        lam_c = lam[3 * i : 3 * i + 3]
-        phi_w = adjoint_inverse(frame.placement).T @ np.concatenate([np.zeros(3), lam_c])
-        if frame.body1 >= 0:
-            wrenches[frame.body1] += phi_w
-        if frame.body2 >= 0:
-            wrenches[frame.body2] -= phi_w
-        JTL += collision_correction_jtl(pack, lam_c)
-    dvp_q = -dt * dyn.solve(dID_q) + dyn.solve(applied_wrench_q_derivative(model, kin, wrenches) + JTL)
-    rhs = J_c @ dvp_q
-    dJv_plus, _ = jv_q_derivatives(model, kin, v_plus)
-    kd = params.baumgarte_kd
-    if kd != 0.0:
-        dJv_now, _ = jv_q_derivatives(model, kin, v)
-    for i, (frame, pack) in enumerate(zip(contacts, packs)):
-        Xc_inv = adjoint_inverse(frame.placement)
-        b1, b2 = frame.body1, frame.body2
-        dJvd = (dJv_plus[b1] if b1 >= 0 else 0.0) - (dJv_plus[b2] if b2 >= 0 else 0.0)
-        rows = (Xc_inv @ dJvd)[3:] + collision_correction_jv(pack, v_plus)
-        gain = (1.0 - params.baumgarte_kp * (1.0 if frame.signed_distance < 0.0 else 0.0)) / dt
-        rows[2] += gain * pack.dphi_dq
-        if kd != 0.0:
-            dJvd0 = (dJv_now[b1] if b1 >= 0 else 0.0) - (dJv_now[b2] if b2 >= 0 else 0.0)
-            rows -= kd * ((Xc_inv @ dJvd0)[3:] + collision_correction_jv(pack, v))
-        rhs[3 * i : 3 * i + 3] += rows
-    return rhs
+    packs = _contact_packs(model, result.dyn.kin, result.contacts, params.contact_margin)
+    return _frozen_impulse_rhs(model, state, params, result, packs, [theta])[1][theta]

@@ -19,6 +19,7 @@ from .model import (
     KinematicModel,
     Kinematics,
     compute_kinematics,
+    jv_q_derivatives,
 )
 from .spatial import (
     force_cross,
@@ -157,19 +158,18 @@ def id_state_derivatives(model: KinematicModel, kin: Kinematics, Iw, v, a):
     Every body term is built from the world axes psi; perturbing tangent
     column k transports psi_j, the body velocity twists and the world
     inertias by the twist field psi_k on the subtree, which gives closed
-    forms accumulated in one sweep."""
+    forms accumulated in one sweep. The body twists and their q-derivatives
+    come from _body_motion_terms and jv_q_derivatives."""
     nb, nv = model.nb, model.nv
     psi = kin.psi
     gamma = _gravity_offset(model)
     row_support = model.row_support
 
+    V, Xi, A = _body_motion_terms(model, kin, v, a)
+    dJv, _ = jv_q_derivatives(model, kin, v)
+    dJa, _ = jv_q_derivatives(model, kin, a)
     dID_q = np.zeros((nv, nv))
     dID_v = np.zeros((nv, nv))
-    V = np.zeros((nb, 6))
-    A = np.zeros((nb, 6))
-    Xi = np.zeros((nb, 6))
-    dJv = np.zeros((nb, 6, nv))
-    dJa = np.zeros((nb, 6, nv))
     dXi = np.zeros((nb, 6, nv))
     Xi_v = np.zeros((nb, 6, nv))
 
@@ -179,21 +179,12 @@ def id_state_derivatives(model: KinematicModel, kin: Kinematics, Iw, v, a):
         P_i = psi * model.support[:, i]
         v_par = V[par] if par >= 0 else np.zeros(6)
         J_par = psi * model.support[:, par] if par >= 0 else np.zeros((6, nv))
-        w_i = psi[:, vs] @ v[vs]
-        wa_i = psi[:, vs] @ a[vs]
-        V[i] = v_par + w_i
-        A[i] = (A[par] if par >= 0 else 0.0) + wa_i
-        Xi[i] = (Xi[par] if par >= 0 else 0.0) + (motion_cross(v_par) @ w_i)
-
-        inc_v = motion_cross_cols(P_i, w_i)
-        inc_a = motion_cross_cols(P_i, wa_i)
         dJv_par = dJv[par] if par >= 0 else np.zeros((6, nv))
-        dJv[i] = dJv_par + inc_v
-        dJa[i] = (dJa[par] if par >= 0 else 0.0) + inc_a
+        w_i = psi[:, vs] @ v[vs]
         dXi[i] = (
             (dXi[par] if par >= 0 else 0.0)
             + motion_cross_cols(dJv_par, w_i)
-            + motion_cross(v_par) @ inc_v
+            + motion_cross(v_par) @ (dJv[i] - dJv_par)
         )
         psi_cols = np.zeros((6, nv))
         psi_cols[:, vs] = psi[:, vs]

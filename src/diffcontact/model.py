@@ -308,17 +308,6 @@ def body_jacobian_world(model: KinematicModel, kin: Kinematics, body: int) -> np
     return kin.psi * model.support[:, body]
 
 
-def body_velocities(model: KinematicModel, kin: Kinematics, v: np.ndarray) -> np.ndarray:
-    """World spatial velocity of every body, accumulated down the tree."""
-    V = np.zeros((model.nb, 6))
-    for i in range((model.nb)):
-        par = int(model.parents[i])
-        base = V[par] if par >= 0 else 0.0
-        vs = model.v_slice(i)
-        V[i] = base + kin.psi[:, vs] @ v[vs]
-    return V
-
-
 def jv_q_derivatives(model: KinematicModel, kin: Kinematics, v: np.ndarray):
     """d(J_i^w v)/dq for every body i, with v held fixed.
 

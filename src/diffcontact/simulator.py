@@ -19,7 +19,7 @@ import numpy as np
 
 from .collision import narrow_phase
 from .contact import ContactProblem, ContactSolution, ModeThresholds, solve_ncp
-from .dynamics import compute_dynamics
+from .dynamics import DynamicsData, compute_dynamics
 from .model import KinematicModel, body_jacobian_world, compute_kinematics, integrate
 from .spatial import adjoint_inverse
 
@@ -79,6 +79,7 @@ class StepResult:
     solution: ContactSolution | None
     J_c: np.ndarray                 # (3n, nv) contact Jacobian at the input q
     v_free: np.ndarray              # unconstrained end-of-step velocity
+    dyn: DynamicsData               # dynamics at the input state; dyn.kin is its kinematics
 
     def warm_start(self) -> dict:
         """Impulses keyed by (pair, feature) for the next step's solver."""
@@ -138,7 +139,7 @@ def step(model: KinematicModel, state: SimState, tau=None, params: SimParams | N
     if not contacts:
         q_next = integrate(model, state.q, dt * v_free)
         return StepResult(SimState(q_next, v_free), [], None, None,
-                          np.zeros((0, model.nv)), v_free)
+                          np.zeros((0, model.nv)), v_free, dyn)
 
     J_c = contact_jacobian(model, kin, contacts)
     G = J_c @ dyn.solve(J_c.T)
@@ -165,7 +166,7 @@ def step(model: KinematicModel, state: SimState, tau=None, params: SimParams | N
 
     v_next = v_free + dyn.solve(J_c.T @ solution.lam)
     q_next = integrate(model, state.q, dt * v_next)
-    return StepResult(SimState(q_next, v_next), contacts, problem, solution, J_c, v_free)
+    return StepResult(SimState(q_next, v_next), contacts, problem, solution, J_c, v_free, dyn)
 
 
 def _tau_at(tau_seq, t: int, nv: int) -> np.ndarray:
@@ -199,11 +200,14 @@ def rollout_jacobian(model: KinematicModel, state0: SimState, tau_seq=None, hori
     """Chain per-step derivatives through a rollout.
 
     theta: 'q0' | 'v0' | 'tau0' (initial generalized impulse) | 'mu'
-    (friction coefficient of pair `mu_pair`). Returns (results, dq_T, dv_T)
-    with the final-configuration block in the tangent at q_T.
+    (friction coefficient of pair `mu_pair`); anything else raises
+    ValueError. Returns (results, dq_T, dv_T) with the final-configuration
+    block in the tangent at q_T. Each step makes one step_jacobian call.
     """
     from .derivatives import step_jacobian
 
+    if theta not in ("q0", "v0", "tau0", "mu"):
+        raise ValueError("theta must be 'q0', 'v0', 'tau0' or 'mu'")
     params = params or SimParams()
     nv = model.nv
     if theta == "mu":
@@ -219,17 +223,20 @@ def rollout_jacobian(model: KinematicModel, state0: SimState, tau_seq=None, hori
         tau_t = _tau_at(tau_seq, t, nv)
         res = step(model, state, tau_t, params, warm_start=warm)
         results.append(res)
-        jac = step_jacobian(model, state, tau_t, params, res, theta="all")
+        blocks = ["q", "v"]
+        if theta == "tau0" and t == 0:
+            blocks.append("tau")
+        elif theta == "mu":
+            blocks.append(("mu", mu_pair))
+        jac = step_jacobian(model, state, tau_t, params, res, theta=blocks)
         Jv_new = jac.dv["q"] @ Jq + jac.dv["v"] @ Jv
         Jq_new = jac.dq["q"] @ Jq + jac.dq["v"] @ Jv
-        if theta == "tau0" and t == 0:
+        if "tau" in jac.dv:
             Jv_new += jac.dv["tau"] / params.dt
             Jq_new += jac.dq["tau"] / params.dt
-        if theta == "mu":
-            mu_jac = step_jacobian(model, state, tau_t, params, res, theta=("mu", mu_pair))
-            if mu_jac.dv:
-                Jv_new += mu_jac.dv["mu"]
-                Jq_new += mu_jac.dq["mu"]
+        if "mu" in jac.dv:
+            Jv_new += jac.dv["mu"]
+            Jq_new += jac.dq["mu"]
         Jq, Jv = Jq_new, Jv_new
         state = res.state
         warm = res.warm_start()

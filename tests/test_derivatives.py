@@ -11,6 +11,8 @@ from conftest import (
     tight_params,
     translation,
 )
+from diffcontact import derivatives
+from diffcontact.cli import load_scene
 from diffcontact.collision import Halfspace, Sphere
 from diffcontact.contact import ContactProblem, ContactSolution, Mode, solve_ncp
 from diffcontact.derivatives import (
@@ -179,6 +181,53 @@ def test_step_jacobian_matches_fd(name):
         fm = fd_step_jacobian(model, state, tau, params, theta=("mu", 0), eps=1e-6, base=res)
         errs_mu = jacobian_errors(jm, fm, ("mu",), include_lam=include_lam)
         assert max(errs_mu.values()) < 2e-5, f"{name}: {errs_mu}"
+
+
+@pytest.mark.parametrize("theta", ["bogus", ("mu", 5), ("mu", -1), ("tau",), ["q", "x"], []])
+def test_step_jacobian_rejects_unknown_theta(theta):
+    model, state, params = load_scene("cube_slide")
+    res = step(model, state, None, params)
+    with pytest.raises(ValueError):
+        step_jacobian(model, state, None, params, res, theta=theta)
+
+
+def test_step_jacobian_reuses_step_dynamics(monkeypatch):
+    """The step result carries its kinematics and dynamics; the derivative
+    pass must not rebuild them."""
+    model, state, params = load_scene("cube_slide")
+    res = step(model, state, None, params)
+    assert res.contacts
+    expected = {theta: step_jacobian(model, state, None, params, res, theta=theta)
+                for theta in ("all", "tau", ("mu", 0))}
+
+    def fail(*args, **kwargs):
+        raise AssertionError("step_jacobian recomputed the step's dynamics")
+
+    monkeypatch.setattr(derivatives, "compute_kinematics", fail)
+    monkeypatch.setattr(derivatives, "compute_dynamics", fail)
+    for theta, ref in expected.items():
+        jac = step_jacobian(model, state, None, params, res, theta=theta)
+        for blk in ("dv", "dq", "dlam"):
+            got, want = getattr(jac, blk), getattr(ref, blk)
+            assert list(got) == list(want)
+            for key in want:
+                assert np.array_equal(got[key], want[key])
+
+
+def test_step_jacobian_block_lists_match_single_blocks():
+    """A list of blocks returns exactly what each block returns alone."""
+    sc = SCENARIOS["chain_foot_slide"]
+    model, state, tau = sc["model"], sc["state"], sc.get("tau")
+    params = sc.get("params") or tight_params(ncp_tol=3e-15)
+    res = step(model, state, tau, params)
+    jac = step_jacobian(model, state, tau, params, res, theta=["q", "v", "tau", ("mu", 0)])
+    assert list(jac.dv) == ["q", "v", "tau", "mu"]
+    for theta, key in (("q", "q"), ("v", "v"), ("tau", "tau"), (("mu", 0), "mu")):
+        single = step_jacobian(model, state, tau, params, res, theta=theta)
+        for blk in ("dv", "dq", "dlam"):
+            assert list(getattr(single, blk)) == [key]
+            assert np.array_equal(getattr(jac, blk)[key], getattr(single, blk)[key])
+        assert single.rank_deficient == jac.rank_deficient
 
 
 def test_flat_box_contact_force_derivative_unique():

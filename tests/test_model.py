@@ -11,7 +11,6 @@ from diffcontact.model import (
     JointSpec,
     KinematicModel,
     body_jacobian_world,
-    body_velocities,
     compute_kinematics,
     difference,
     difference_jacobian,
@@ -172,7 +171,7 @@ def test_body_velocities_consistent_with_jacobian():
     q = random_config(m, rng)
     v = rng.uniform(-1, 1, m.nv)
     kin = compute_kinematics(m, q)
-    vels = body_velocities(m, kin, v)
+    _, vels = jv_q_derivatives(m, kin, v)
     for body in range(len(m.joints)):
         np.testing.assert_allclose(
             vels[body], body_jacobian_world(m, kin, body) @ v, atol=1e-12

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import cube_model, cube_state, sphere_model, tight_params
+from diffcontact import derivatives
 from diffcontact.cli import load_scene
 from diffcontact.contact import Mode
 from diffcontact.derivatives import step_jacobian
@@ -212,6 +213,33 @@ def test_rollout_jacobian_matches_fd_over_sliding_contact(theta):
     for A, F in ((Jq, fq), (Jv, fv)):
         err = np.abs(A - F).max() / max(1.0, np.abs(F).max())
         assert err < 1e-3, f"{theta}: {err:.2e}"
+
+
+@pytest.mark.parametrize("theta, first, rest", [
+    ("q0", ["q", "v"], ["q", "v"]),
+    ("v0", ["q", "v"], ["q", "v"]),
+    ("tau0", ["q", "v", "tau"], ["q", "v"]),
+    ("mu", ["q", "v", ("mu", 0)], ["q", "v", ("mu", 0)]),
+])
+def test_rollout_jacobian_one_step_jacobian_per_step(monkeypatch, theta, first, rest):
+    """One derivative pass per step, asking only for the blocks it chains."""
+    requested = []
+    real = derivatives.step_jacobian
+
+    def counting(*args, **kwargs):
+        requested.append(kwargs["theta"])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(derivatives, "step_jacobian", counting)
+    model, state, params = load_scene("cube_slide")
+    rollout_jacobian(model, state, None, horizon=4, params=params, theta=theta)
+    assert requested == [first] + 3 * [rest]
+
+
+def test_rollout_jacobian_rejects_unknown_theta():
+    model, state, params = load_scene("cube_slide")
+    with pytest.raises(ValueError):
+        rollout_jacobian(model, state, None, horizon=2, params=params, theta="x")
 
 
 def test_rollout_final_state_matches_stepwise():

@@ -1,0 +1,52 @@
+"""The benchmark tracer wraps library functions by module attribute name
+(benchmark/tracing.py); a refactor that drops or renames one of those names
+must fail here rather than break `benchmark/run.py --trace 1`."""
+import importlib.util
+import sys
+from pathlib import Path
+
+import pytest
+
+from diffcontact import derivatives, simulator
+from diffcontact.cli import load_scene
+
+TRACING_PY = Path(__file__).resolve().parents[1] / "benchmark" / "tracing.py"
+
+
+@pytest.fixture(scope="module")
+def tracing():
+    """benchmark/tracing.py loaded read-only: no bytecode cache is written."""
+    spec = importlib.util.spec_from_file_location("benchmark_tracing", TRACING_PY)
+    module = importlib.util.module_from_spec(spec)
+    saved = sys.dont_write_bytecode
+    sys.dont_write_bytecode = True
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.dont_write_bytecode = saved
+    return module
+
+
+def test_traced_names_exist(tracing):
+    targets = [(module, attr) for module, attr, _ in tracing.SPANS]
+    targets += [(simulator, "step"), (derivatives, "step_jacobian")]
+    missing = [f"{module.__name__}.{attr}" for module, attr in targets
+               if not callable(getattr(module, attr, None))]
+    assert not missing, missing
+
+
+def test_traced_step_jacobian_builds_no_dynamics(tracing):
+    """Under the installed tracer, a step and its Jacobian run compute_dynamics
+    once between them: the Jacobian reuses the step's."""
+    model, state, params = load_scene("cube_slide")
+    patches = tracing.Patches()
+    tracer = tracing.Tracer()
+    try:
+        tracer.install(patches)
+        res = simulator.step(model, state, None, params)
+        derivatives.step_jacobian(model, state, None, params, res, theta="all")
+    finally:
+        patches.restore()
+    assert tracer.calls("dynamics.compute_dynamics") == 1
+    assert tracer.calls("model.compute_kinematics") == 1
+    assert tracer.calls("derivatives.step_jacobian") == 1
