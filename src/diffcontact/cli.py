@@ -325,8 +325,6 @@ def cmd_bench(args) -> int:
     print(f"  fd/analytic ratio    {ratio:10.1f}x")
     print(f"  step calls: fd={fd_calls} (2 per theta direction + base), "
           f"analytic={jac_calls}")
-    print("  context, reference hardware (Apple M3, half-cheetah): "
-          "simulation 15.8 us, implicit gradients 14.7 us, finite differences 1.1e3 us")
     if args.out:
         _write_csv(args.out, ["name", "mean_us", "std_us", "reps"], rows)
     return 0

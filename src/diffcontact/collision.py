@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .spatial import Placement, skew, unskew
+from .spatial import Placement, skew
 
 
 class UnsupportedCollisionPair(ValueError):
@@ -106,8 +106,11 @@ def frame_from_normal(n: np.ndarray) -> np.ndarray:
 
 
 def _frame_rotation_differential(n, dn):
-    """World angular velocity of the n -> frame_from_normal(n) frame under
-    a normal perturbation dn."""
+    """World angular velocities of the n -> frame_from_normal(n) frame, one
+    column per normal perturbation column of dn (3, m).
+
+    With frame axes (x, y, n), each column is 0.5 (x × dx + y × dy + n × dn),
+    the axial part of dR R^T."""
     if abs(n[0]) <= _REF_SWITCH:
         ref = np.array([1.0, 0.0, 0.0])
     else:
@@ -115,14 +118,12 @@ def _frame_rotation_differential(n, dn):
     x_raw = ref - (n @ ref) * n
     nr = np.linalg.norm(x_raw)
     x = x_raw / nr
-    dx_raw = -(dn @ ref) * n - (n @ ref) * dn
-    dx = (dx_raw - x * (x @ dx_raw)) / nr
-    y = np.cross(n, x)
-    dy = np.cross(dn, x) + np.cross(n, dx)
-    R = np.stack([x, y, n], axis=1)
-    dR = np.stack([dx, dy, dn], axis=1)
-    W = dR @ R.T
-    return unskew(0.5 * (W - W.T))
+    dx_raw = -np.outer(n, ref @ dn) - (n @ ref) * dn
+    dx = (dx_raw - np.outer(x, x @ dx_raw)) / nr
+    Sx, Sn = skew(x), skew(n)
+    y = Sn @ x
+    dy = Sn @ dx - Sx @ dn
+    return 0.5 * (Sx @ dx + skew(y) @ dy + Sn @ dn)
 
 
 @dataclass
@@ -272,12 +273,9 @@ def _match_record(records, frame: ContactFrame):
 
 def _cd_from_record(rec: _Record, frame: ContactFrame) -> CdDerivatives:
     R_c = frame.placement.rotation
-    out = np.empty((6, 12))
     boundary = rec.boundary or abs(abs(rec.normal[0]) - _REF_SWITCH) < 1e-6
-    for k in range(12):
-        w_c = _frame_rotation_differential(rec.normal, rec.dn[:, k])
-        out[:3, k] = R_c.T @ w_c
-        out[3:, k] = R_c.T @ rec.dp[:, k]
+    w = _frame_rotation_differential(rec.normal, rec.dn)
+    out = np.vstack([R_c.T @ w, R_c.T @ rec.dp])
     return CdDerivatives(d_m1=out[:, :6], d_m2=out[:, 6:], boundary=boundary)
 
 

@@ -1,9 +1,20 @@
 """Rigid-body dynamics on the world-frame spatial quantities.
 
 Mass matrix, bias, inverse dynamics and their analytic state derivatives
-are dense recursions over body spatial Jacobians J_i = psi masked to the
+are dense sums over body spatial Jacobians J_i = psi masked to the
 kinematic path. Gravity enters as the constant world offset (0, -g) added
 to every body acceleration, which reproduces the gravity wrench exactly.
+
+Layout: nothing loops over bodies. Per-body terms are stacked on a leading
+body axis: J is (nb, 6, nv), twists and wrenches are (nb, 6), inertias are
+(nb, 6, 6). The model's masks carry the tree: support[k, i] marks the
+tangent columns on body i's path, and the ancestor mask anc[i, j] marks
+the bodies j on that path, so anc @ X sums a per-body increment X from
+the root down to every body (the body twists are V = anc @ W for the joint
+twists W). A sum over bodies of J_i^T X_i is one product of the (nv, 6 nb)
+stacked Jacobian rows with the stacked X. The body terms come from
+model._body_terms, which model.jv_q_derivatives reads too, so the velocity
+recursion exists once.
 
 Sign conventions: M(q) vdot + b(q, v) = tau + J_c^T lambda, with lambda in
 force units here (the simulator converts impulses).
@@ -18,97 +29,55 @@ from scipy.linalg import cho_factor, cho_solve
 from .model import (
     KinematicModel,
     Kinematics,
+    _body_terms,
+    _parent_rows,
     compute_kinematics,
     jv_q_derivatives,
 )
 from .spatial import (
     force_cross,
     force_cross_cols,
-    motion_cross,
     motion_cross_cols,
-    p_operator,
     skew,
+    spatial_inertia_local,  # noqa: F401  public here; KinematicModel stacks it once
 )
 
 
-def spatial_inertia_local(mass: float, com: np.ndarray, inertia: np.ndarray) -> np.ndarray:
-    """6x6 body-frame spatial inertia in (angular, linear) layout."""
-    C = skew(com)
-    I = np.zeros((6, 6))
-    I[:3, :3] = inertia - mass * C @ C
-    I[:3, 3:] = mass * C
-    I[3:, :3] = -mass * C
-    I[3:, 3:] = mass * np.eye(3)
-    return I
-
-
 def spatial_inertias_world(model: KinematicModel, kin: Kinematics) -> np.ndarray:
-    """World-frame spatial inertia of every body: X^-T I_loc X^-1."""
-    out = np.empty((model.nb, 6, 6))
-    for i, ine in enumerate(model.inertias):
-        I_loc = spatial_inertia_local(ine.mass, ine.com, ine.inertia)
-        R, p = kin.body_rotations[i], kin.body_translations[i]
-        Xinv = np.zeros((6, 6))
-        Xinv[:3, :3] = R.T
-        Xinv[3:, 3:] = R.T
-        Xinv[3:, :3] = -R.T @ skew(p)
-        out[i] = Xinv.T @ I_loc @ Xinv
-    return out
+    """World-frame spatial inertia of every body, (nb, 6, 6): X^-T I_loc X^-1."""
+    Rt = np.swapaxes(kin.body_rotations, 1, 2)
+    Xinv = np.zeros((model.nb, 6, 6))
+    Xinv[:, :3, :3] = Xinv[:, 3:, 3:] = Rt
+    Xinv[:, 3:, :3] = -Rt @ skew(kin.body_translations)
+    return np.swapaxes(Xinv, 1, 2) @ model._inertia_local @ Xinv
 
 
 def _gravity_offset(model: KinematicModel) -> np.ndarray:
     return np.concatenate([np.zeros(3), -model.gravity])
 
 
-def _body_motion_terms(model: KinematicModel, kin: Kinematics, v, a=None):
-    """Prefix sums of velocity/acceleration twists and the velocity-product
-    acceleration xi_i = sum_{j<=i} V_parent(j) x (psi_j vj)."""
-    nb = model.nb
-    V = np.zeros((nb, 6))
-    A = np.zeros((nb, 6))
-    Xi = np.zeros((nb, 6))
-    for i in range(nb):
-        par = int(model.parents[i])
-        vs = model.v_slice(i)
-        v_par = V[par] if par >= 0 else np.zeros(6)
-        w_i = kin.psi[:, vs] @ v[vs]
-        V[i] = v_par + w_i
-        Xi[i] = (Xi[par] if par >= 0 else 0.0) + np.concatenate(
-            [np.cross(v_par[:3], w_i[:3]),
-             np.cross(v_par[:3], w_i[3:]) + np.cross(v_par[3:], w_i[:3])]
-        )
-        if a is not None:
-            A[i] = (A[par] if par >= 0 else 0.0) + kin.psi[:, vs] @ a[vs]
-    return V, Xi, A
+def _rows(X: np.ndarray) -> np.ndarray:
+    """Stack (nb, 6, n) -> (6 nb, n), so that J_rows.T @ X_rows sums
+    J_i^T X_i over bodies."""
+    return X.reshape(-1, X.shape[-1])
 
 
-def mass_matrix(model: KinematicModel, q_or_kin) -> np.ndarray:
-    kin = q_or_kin if isinstance(q_or_kin, Kinematics) else compute_kinematics(model, q_or_kin)
-    Iw = spatial_inertias_world(model, kin)
-    M = np.zeros((model.nv, model.nv))
-    for i in range(model.nb):
-        J = kin.psi * model.support[:, i]
-        M += J.T @ Iw[i] @ J
-    return M
+def _times(Iw, x):
+    """I_i x_i for every body: (nb, 6, 6) by (nb, 6)."""
+    return (Iw @ x[:, :, None])[:, :, 0]
+
+
+def _body_wrenches(Iw, V, acc):
+    """Net wrench I_i acc_i + V_i x* (I_i V_i) of every body, (nb, 6)."""
+    return _times(Iw, acc) + force_cross_cols(V[:, :, None], _times(Iw, V))[:, :, 0]
 
 
 def inverse_dynamics(model: KinematicModel, q, v, a) -> np.ndarray:
     """tau with M(q) a + b(q, v) = tau, gravity included."""
     kin = compute_kinematics(model, q)
-    Iw = spatial_inertias_world(model, kin)
-    V, Xi, A = _body_motion_terms(model, kin, v, a)
-    gamma = _gravity_offset(model)
-    tau = np.zeros(model.nv)
-    for i in range(model.nb):
-        J = kin.psi * model.support[:, i]
-        f = Iw[i] @ (A[i] + Xi[i] + gamma) + force_cross(V[i]) @ (Iw[i] @ V[i])
-        tau += J.T @ f
-    return tau
-
-
-def bias(model: KinematicModel, q, v) -> np.ndarray:
-    """Coriolis, centrifugal and gravity generalized forces."""
-    return inverse_dynamics(model, q, v, np.zeros(model.nv))
+    J, _, V, _, Xi = _body_terms(model, kin, v)
+    f = _body_wrenches(spatial_inertias_world(model, kin), V, J @ a + Xi + _gravity_offset(model))
+    return _rows(J).T @ f.ravel()
 
 
 @dataclass
@@ -127,28 +96,14 @@ class DynamicsData:
 
 
 def compute_dynamics(model: KinematicModel, kin: Kinematics, v: np.ndarray) -> DynamicsData:
+    """M = sum_i J_i^T I_i J_i and the bias b (inverse dynamics at a = 0),
+    each one product over the stacked body rows."""
     Iw = spatial_inertias_world(model, kin)
-    V, Xi, _ = _body_motion_terms(model, kin, v)
-    gamma = _gravity_offset(model)
-    M = np.zeros((model.nv, model.nv))
-    b = np.zeros(model.nv)
-    for i in range(model.nb):
-        J = kin.psi * model.support[:, i]
-        JtI = J.T @ Iw[i]
-        M += JtI @ J
-        b += JtI @ (Xi[i] + gamma) + J.T @ (force_cross(V[i]) @ (Iw[i] @ V[i]))
+    J, _, V, _, Xi = _body_terms(model, kin, v)
+    Jt = _rows(J).T
+    M = Jt @ _rows(Iw @ J)
+    b = Jt @ _body_wrenches(Iw, V, Xi + _gravity_offset(model)).ravel()
     return DynamicsData(kin, Iw, M, b, cho_factor(M, lower=True))
-
-
-def ufd(model: KinematicModel, q, v, tau, J_c=None, lam=None) -> np.ndarray:
-    """Forward dynamics under given contact forces:
-    vdot = M^-1 (tau + J_c^T lambda - b)."""
-    kin = compute_kinematics(model, q)
-    dyn = compute_dynamics(model, kin, v)
-    rhs = tau - dyn.bias
-    if J_c is not None and J_c.size:
-        rhs = rhs + J_c.T @ lam
-    return dyn.solve(rhs)
 
 
 def id_state_derivatives(model: KinematicModel, kin: Kinematics, Iw, v, a):
@@ -158,88 +113,52 @@ def id_state_derivatives(model: KinematicModel, kin: Kinematics, Iw, v, a):
     Every body term is built from the world axes psi; perturbing tangent
     column k transports psi_j, the body velocity twists and the world
     inertias by the twist field psi_k on the subtree, which gives closed
-    forms accumulated in one sweep. The body twists and their q-derivatives
-    come from _body_motion_terms and jv_q_derivatives."""
+    forms. Each body's increment is stacked, and the path sums are anc
+    products."""
     nb, nv = model.nb, model.nv
-    psi = kin.psi
-    gamma = _gravity_offset(model)
-    row_support = model.row_support
-
-    V, Xi, A = _body_motion_terms(model, kin, v, a)
+    J, W, V, Vp, Xi = _body_terms(model, kin, v)
     dJv, _ = jv_q_derivatives(model, kin, v)
-    dJa, _ = jv_q_derivatives(model, kin, a)
-    dID_q = np.zeros((nv, nv))
-    dID_v = np.zeros((nv, nv))
-    dXi = np.zeros((nb, 6, nv))
-    Xi_v = np.zeros((nb, 6, nv))
+    dJa, A = jv_q_derivatives(model, kin, a)
 
-    for i in range(nb):
-        par = int(model.parents[i])
-        vs = model.v_slice(i)
-        P_i = psi * model.support[:, i]
-        v_par = V[par] if par >= 0 else np.zeros(6)
-        J_par = psi * model.support[:, par] if par >= 0 else np.zeros((6, nv))
-        dJv_par = dJv[par] if par >= 0 else np.zeros((6, nv))
-        w_i = psi[:, vs] @ v[vs]
-        dXi[i] = (
-            (dXi[par] if par >= 0 else 0.0)
-            + motion_cross_cols(dJv_par, w_i)
-            + motion_cross(v_par) @ (dJv[i] - dJv_par)
-        )
-        psi_cols = np.zeros((6, nv))
-        psi_cols[:, vs] = psi[:, vs]
-        Xi_v[i] = (
-            (Xi_v[par] if par >= 0 else 0.0)
-            - motion_cross(w_i) @ J_par
-            + motion_cross(v_par) @ psi_cols
-        )
+    def dXi_along(dV):
+        """Derivative of Xi = anc @ (Vp x W), given the body-twist derivative
+        dV (nb, 6, nv); dW = dV - dVp."""
+        dVp = _parent_rows(model, dV)
+        inc = motion_cross_cols(dVp, W) - motion_cross_cols(dV - dVp, Vp)
+        return (model.anc @ inc.reshape(nb, -1)).reshape(nb, 6, nv)
 
-        I_i = Iw[i]
-        h_i = I_i @ V[i]
-        ahat = A[i] + Xi[i] + gamma
-        f_i = I_i @ ahat + force_cross(V[i]) @ h_i
+    dXi, Xi_v = dXi_along(dJv), dXi_along(J)
+    h = _times(Iw, V)
+    ahat = A + Xi + _gravity_offset(model)
+    f = _body_wrenches(Iw, V, ahat)
+    Fv = force_cross(V)
 
-        # delta I applied to a fixed motion x, columnwise over tangent k.
-        def dIx(x):
-            return force_cross_cols(P_i, I_i @ x) - I_i @ motion_cross_cols(P_i, x)
+    def dIx(x):
+        """delta I_i applied to a fixed motion x_i, columnwise over tangent k."""
+        return force_cross_cols(J, _times(Iw, x)) - Iw @ motion_cross_cols(J, x)
 
-        df = (
-            dIx(ahat)
-            + I_i @ (dJa[i] + dXi[i])
-            + force_cross_cols(dJv[i], h_i)
-            + force_cross(V[i]) @ (dIx(V[i]) + I_i @ dJv[i])
-        )
-        dID_q += P_i.T @ df
-        dID_q -= (P_i.T @ force_cross_cols(psi, f_i)) * row_support
-
-        df_v = (
-            I_i @ Xi_v[i]
-            + force_cross(V[i]) @ (I_i @ P_i)
-            - p_operator(h_i) @ P_i
-        )
-        dID_v += P_i.T @ df_v
-    return dID_q, dID_v
+    df = (
+        dIx(ahat)
+        + Iw @ (dJa + dXi)
+        + force_cross_cols(dJv, h)
+        + Fv @ (dIx(V) + Iw @ dJv)
+    )
+    Jt = _rows(J).T
+    dID_q = Jt @ _rows(df) - (Jt @ _rows(force_cross_cols(kin.psi, f))) * model.row_support
+    df_v = Iw @ Xi_v + Fv @ (Iw @ J) + force_cross_cols(J, h)
+    return dID_q, Jt @ _rows(df_v)
 
 
 def applied_wrench_q_derivative(model: KinematicModel, kin: Kinematics, wrenches) -> np.ndarray:
-    """d/dq of sum_b J_b^T phi_b for constant world wrenches phi_b.
-
-    `wrenches` is (nb, 6); bodies with zero wrench are skipped."""
-    out = np.zeros((model.nv, model.nv))
-    for b in range(model.nb):
-        phi = wrenches[b]
-        if not np.any(phi):
-            continue
-        P_b = kin.psi * model.support[:, b]
-        out -= (P_b.T @ force_cross_cols(kin.psi, phi)) * model.row_support
-    return out
+    """d/dq of sum_b J_b^T phi_b for constant world wrenches phi_b, (nb, 6)."""
+    J = kin.psi * model.support.T[:, None, :]
+    return -(_rows(J).T @ _rows(force_cross_cols(kin.psi, wrenches))) * model.row_support
 
 
 def kinetic_energy(model: KinematicModel, q, v) -> float:
     kin = compute_kinematics(model, q)
-    Iw = spatial_inertias_world(model, kin)
-    V, _, _ = _body_motion_terms(model, kin, v)
-    return float(0.5 * sum(V[i] @ Iw[i] @ V[i] for i in range(model.nb)))
+    _, _, V, _, _ = _body_terms(model, kin, v)
+    return float(0.5 * np.sum(V * _times(spatial_inertias_world(model, kin), V)))
 
 
 def potential_energy(model: KinematicModel, q) -> float:

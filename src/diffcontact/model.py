@@ -18,6 +18,7 @@ import numpy as np
 
 from .spatial import (
     Placement,
+    _cross,
     adjoint,
     adjoint_inverse,
     motion_cross_cols,
@@ -28,6 +29,7 @@ from .spatial import (
     se3_right_jacobian,
     se3_right_jacobian_inverse,
     so3_exp,
+    spatial_inertia_local,
 )
 
 _JOINT_NQ = {"free": 7, "revolute": 1, "prismatic": 1, "fixed": 0}
@@ -101,19 +103,26 @@ class KinematicModel:
         self.parents = np.array([j.parent for j in self.joints], dtype=int)
 
         # support[k, i]: tangent column k belongs to a joint on the path
-        # from the root to body i (inclusive).
+        # from the root to body i (inclusive). anc[i, b]: body b is on that
+        # path, so anc @ X sums a per-body term X over each body's path.
         self.support = np.zeros((self.nv, self.nb), dtype=bool)
+        self.anc = np.zeros((self.nb, self.nb), dtype=bool)
         body_of_col = np.zeros(self.nv, dtype=int)
         for i in range(self.nb):
             b = i
             while b >= 0:
                 self.support[self.v_slice(b), i] = True
+                self.anc[i, b] = True
                 body_of_col[self.v_slice(b)] = b
                 b = int(self.parents[b])
         self.body_of_col = body_of_col
         # row_support[r, k]: column k's joint supports the body carrying
         # tangent row r. Used by the analytic inverse-dynamics derivatives.
         self.row_support = self.support[:, self.body_of_col].T
+        # Stacked body-frame spatial inertias (nb, 6, 6) for the dynamics.
+        self._inertia_local = np.array(
+            [spatial_inertia_local(b.mass, b.com, b.inertia) for b in self.inertias]
+        ).reshape(self.nb, 6, 6)
 
         if actuated is None:
             actuated = list(range(self.nv))
@@ -214,7 +223,7 @@ def compute_kinematics(model: KinematicModel, q: np.ndarray) -> Kinematics:
             R[i] = Rx @ so3_exp(joint.axis * qi[0])
             p[i] = px
             psi[:3, c0] = axis_w
-            psi[3:, c0] = np.cross(px, axis_w)
+            psi[3:, c0] = _cross(px, axis_w)
         elif joint.kind == "prismatic":
             axis_w = Rx @ joint.axis
             R[i] = Rx
@@ -308,21 +317,37 @@ def body_jacobian_world(model: KinematicModel, kin: Kinematics, body: int) -> np
     return kin.psi * model.support[:, body]
 
 
+def _parent_rows(model: KinematicModel, X: np.ndarray) -> np.ndarray:
+    """X[parent(i)] for every body i along axis 0; zero where i is a root."""
+    return np.concatenate([X, np.zeros_like(X[:1])])[model.parents]
+
+
+def _body_terms(model: KinematicModel, kin: Kinematics, v: np.ndarray):
+    """Stacked per-body terms at tangent velocity v, read off the masks in
+    one pass with no loop over bodies.
+
+    Returns (J, W, V, Vp, Xi): the body Jacobians J_i = psi * support[:, i]
+    (nb, 6, nv); the joint twists W_i = psi v on body i's own columns; the
+    body twists V = anc @ W; the parent twists Vp (zero at a root); and the
+    velocity-product accelerations Xi = anc @ (Vp x W), all (nb, 6)."""
+    psi = kin.psi
+    J = psi * model.support.T[:, None, :]
+    owner = model.body_of_col[:, None] == np.arange(model.nb)
+    W = ((psi * v) @ owner).T
+    V = model.anc @ W
+    Vp = _parent_rows(model, V)
+    Xi = model.anc @ motion_cross_cols(Vp[:, :, None], W)[:, :, 0]
+    return J, W, V, Vp, Xi
+
+
 def jv_q_derivatives(model: KinematicModel, kin: Kinematics, v: np.ndarray):
     """d(J_i^w v)/dq for every body i, with v held fixed.
 
     Returns (dJv, V): dJv has shape (nb, 6, nv), V the body velocities.
     Column k of body i is psi_k x (V_i - V_above(k)) on the kinematic path
-    and zero elsewhere; computed by accumulating per-joint increments."""
-    nb, nv = model.nb, model.nv
-    V = np.zeros((nb, 6))
-    dJv = np.zeros((nb, 6, nv))
-    for i in range(nb):
-        par = int(model.parents[i])
-        vs = model.v_slice(i)
-        v_par = V[par] if par >= 0 else np.zeros(6)
-        w_i = kin.psi[:, vs] @ v[vs]
-        V[i] = v_par + w_i
-        inc = motion_cross_cols(kin.psi * model.support[:, i], w_i)
-        dJv[i] = (dJv[par] if par >= 0 else 0.0) + inc
-    return dJv, V
+    and zero elsewhere, where V_above(k) is the twist of the parent of the
+    body that owns column k."""
+    _, _, V, Vp, _ = _body_terms(model, kin, v)
+    rel = V[:, None, :] - Vp[model.body_of_col]               # (nb, nv, 6)
+    dJv = motion_cross_cols(kin.psi.T[:, :, None], rel)[..., 0]  # (nb, nv, 6)
+    return dJv.transpose(0, 2, 1) * model.support.T[:, None, :], V

@@ -13,10 +13,17 @@ import numpy as np
 _EPS_ANGLE = 1e-8
 
 
+# skew(u).ravel() == u @ _SKEW_BASIS. Each entry of skew(u) is +-1 times one
+# component of u, so the product is exact, and it stacks over leading axes.
+_SKEW_BASIS = np.array([[0.0, 0.0, 0.0, 0.0, 0.0, -1.0, 0.0, 1.0, 0.0],
+                        [0.0, 0.0, 1.0, 0.0, 0.0, 0.0, -1.0, 0.0, 0.0],
+                        [0.0, -1.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0]])
+
+
 def skew(v: np.ndarray) -> np.ndarray:
-    """3x3 matrix S with S @ b == np.cross(v, b)."""
-    x, y, z = v
-    return np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
+    """3x3 matrix S with S @ b == np.cross(v, b); stacked for v of shape (..., 3)."""
+    v = np.asarray(v, dtype=float)
+    return (v @ _SKEW_BASIS).reshape(v.shape[:-1] + (3, 3))
 
 
 def unskew(S: np.ndarray) -> np.ndarray:
@@ -71,19 +78,31 @@ def adjoint_dual(M: Placement) -> np.ndarray:
     return adjoint_inverse(M).T
 
 
+def spatial_inertia_local(mass: float, com: np.ndarray, inertia: np.ndarray) -> np.ndarray:
+    """6x6 body-frame spatial inertia in (angular, linear) layout."""
+    C = skew(com)
+    I = np.zeros((6, 6))
+    I[:3, :3] = inertia - mass * C @ C
+    I[:3, 3:] = mass * C
+    I[3:, :3] = -mass * C
+    I[3:, 3:] = mass * np.eye(3)
+    return I
+
+
 def motion_cross(x: np.ndarray) -> np.ndarray:
-    """ad_x for a motion x = (omega, v): motion-cross-motion operator."""
-    out = np.zeros((6, 6))
-    w, v = skew(x[:3]), skew(x[3:])
-    out[:3, :3] = w
-    out[3:, 3:] = w
-    out[3:, :3] = v
+    """ad_x for a motion x = (omega, v): motion-cross-motion operator.
+    Stacked for x of shape (..., 6)."""
+    x = np.asarray(x, dtype=float)
+    out = np.zeros(x.shape[:-1] + (6, 6))
+    out[..., :3, :3] = out[..., 3:, 3:] = skew(x[..., :3])
+    out[..., 3:, :3] = skew(x[..., 3:])
     return out
 
 
 def force_cross(x: np.ndarray) -> np.ndarray:
-    """x x* operator (motion-cross-force): equals -ad_x^T."""
-    return -motion_cross(x).T
+    """x x* operator (motion-cross-force): equals -ad_x^T. Stacked like
+    motion_cross."""
+    return -np.swapaxes(motion_cross(x), -1, -2)
 
 
 def p_operator(y: np.ndarray) -> np.ndarray:
@@ -96,22 +115,33 @@ def p_operator(y: np.ndarray) -> np.ndarray:
     return out
 
 
+def _cross(a, b):
+    """a x b on component triples, as np.cross computes it (a1*b2 - a2*b1, ...)."""
+    return (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0])
+
+
+def _cols_and_vector(A, b):
+    """The six rows of A (..., 6, n) and the six components of b (..., 6),
+    shaped to broadcast over the columns."""
+    return [A[..., r, :] for r in range(6)], [b[..., r, None] for r in range(6)]
+
+
 def motion_cross_cols(A: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Columnwise A[:, k] x b for a 6xn matrix A and a single motion b."""
-    out = np.empty_like(A)
-    aw, av = A[:3].T, A[3:].T
-    out[:3] = np.cross(aw, b[:3]).T
-    out[3:] = (np.cross(aw, b[3:]) + np.cross(av, b[:3])).T
-    return out
+    """Columnwise A[..., :, k] x b for motions A (..., 6, n) and b (..., 6);
+    leading axes broadcast. Bit-identical to np.cross on each 3-block."""
+    a, c = _cols_and_vector(A, b)
+    top = _cross(a[:3], c[:3])
+    bottom = [s + t for s, t in zip(_cross(a[:3], c[3:]), _cross(a[3:], c[:3]))]
+    return np.stack([*top, *bottom], axis=-2)
 
 
 def force_cross_cols(A: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Columnwise A[:, k] x* y for motions A and a single force y."""
-    out = np.empty_like(A)
-    aw, av = A[:3].T, A[3:].T
-    out[:3] = (np.cross(aw, y[:3]) + np.cross(av, y[3:])).T
-    out[3:] = np.cross(aw, y[3:]).T
-    return out
+    """Columnwise A[..., :, k] x* y for motions A (..., 6, n) and forces
+    y (..., 6); leading axes broadcast."""
+    a, c = _cols_and_vector(A, y)
+    top = [s + t for s, t in zip(_cross(a[:3], c[:3]), _cross(a[3:], c[3:]))]
+    bottom = _cross(a[:3], c[3:])
+    return np.stack([*top, *bottom], axis=-2)
 
 
 def so3_exp(w: np.ndarray) -> np.ndarray:

@@ -23,7 +23,7 @@ from diffcontact.model import (
     KinematicModel,
 )
 from diffcontact.simulator import SimParams, SimState
-from diffcontact.spatial import Placement
+from diffcontact.spatial import Placement, so3_exp
 
 
 def free_placement():
@@ -83,6 +83,23 @@ def fixed_chain_no_contact(n_links=2):
         joints.append(JointSpec("revolute", i - 1, placement, np.array([0.0, 1.0, 0.0])))
         inertias.append(BodyInertia(1.2, np.array([0.2, 0.0, 0.0]),
                                     np.diag([0.002, 0.01, 0.01])))
+    return KinematicModel(joints, inertias, [], [])
+
+
+def fixed_joint_tree():
+    """Revolute root, a fixed joint mid-chain (its body owns no tangent
+    column), then a revolute and a prismatic branch off the fixed body."""
+    y_axis, x_axis, z_axis = np.eye(3)[1], np.eye(3)[0], np.eye(3)[2]
+    tilted = Placement(so3_exp(np.array([0.3, -0.2, 0.5])), np.array([0.3, 0.0, 0.0]))
+    joints = [
+        JointSpec("revolute", -1, translation([0, 0, 0.5]), y_axis),
+        JointSpec("fixed", 0, tilted, None),
+        JointSpec("revolute", 1, translation([0.2, 0.1, 0.0]), x_axis),
+        JointSpec("prismatic", 1, translation([0.0, -0.1, 0.05]), z_axis),
+    ]
+    inertias = [BodyInertia(0.4 + 0.2 * i, np.array([0.1, 0.02 * i, -0.03]),
+                            np.diag([0.002, 0.003 + 0.001 * i, 0.004]))
+                for i in range(4)]
     return KinematicModel(joints, inertias, [], [])
 
 

@@ -7,21 +7,25 @@ central FD for the derivative routines.
 """
 import numpy as np
 
-from conftest import chain_model, cube_model, fixed_chain_no_contact, sphere_model
+from conftest import (
+    chain_model,
+    cube_model,
+    fixed_chain_no_contact,
+    fixed_joint_tree,
+    sphere_model,
+)
+from diffcontact.cli import load_scene
 from diffcontact.dynamics import (
     applied_wrench_q_derivative,
-    bias,
     compute_dynamics,
     id_state_derivatives,
     inverse_dynamics,
     kinetic_energy,
-    mass_matrix,
     potential_energy,
     spatial_inertia_local,
     spatial_inertias_world,
-    ufd,
 )
-from diffcontact.model import compute_kinematics, integrate
+from diffcontact.model import body_jacobian_world, compute_kinematics, integrate
 from diffcontact.spatial import skew
 
 rng = np.random.default_rng(23)
@@ -29,6 +33,20 @@ rng = np.random.default_rng(23)
 
 def random_config(model, gen, scale=0.8):
     return integrate(model, model.neutral_configuration(), gen.uniform(-scale, scale, model.nv))
+
+
+def dynamics_at(model, q, v=None):
+    """compute_dynamics at configuration q and velocity v (zero if None)."""
+    v = np.zeros(model.nv) if v is None else v
+    return compute_dynamics(model, compute_kinematics(model, q), v)
+
+
+def mass_matrix(model, q):
+    return dynamics_at(model, q).M
+
+
+def bias(model, q, v):
+    return dynamics_at(model, q, v).bias
 
 
 def test_spatial_inertia_structure():
@@ -47,12 +65,19 @@ def test_spatial_inertia_structure():
 
 
 def test_mass_matrix_spd():
-    for m in (cube_model(), chain_model(4, foot_links=[3])):
+    fourleg = load_scene("fourleg")[0]
+    for m in (cube_model(), chain_model(4, foot_links=[3]), fourleg, fixed_joint_tree()):
         for _ in range(5):
             q = random_config(m, rng)
             M = mass_matrix(m, q)
             np.testing.assert_allclose(M, M.T, atol=1e-11)
             assert np.all(np.linalg.eigvalsh(M) > 0)
+            # Reference: the per-body sum of J_i^T I_i J_i.
+            kin = compute_kinematics(m, q)
+            Iw = spatial_inertias_world(m, kin)
+            Js = [body_jacobian_world(m, kin, i) for i in range(m.nb)]
+            M_ref = sum(J.T @ I @ J for J, I in zip(Js, Iw))
+            np.testing.assert_allclose(M, M_ref, rtol=0, atol=1e-12 * np.abs(M_ref).max())
 
 
 def test_free_body_mass_matrix_closed_form():
@@ -150,21 +175,23 @@ def test_dynamics_data_solve():
     np.testing.assert_allclose(
         dyn.solve(rhs), np.linalg.solve(mass_matrix(m, q), rhs), atol=1e-10
     )
-    np.testing.assert_allclose(dyn.bias, bias(m, q, v), atol=1e-12)
+    np.testing.assert_allclose(dyn.bias, inverse_dynamics(m, q, v, np.zeros(m.nv)), atol=1e-12)
 
 
-def test_ufd_is_forward_dynamics():
+def test_dynamics_solve_is_forward_dynamics():
     m = chain_model(3)
     q = random_config(m, rng)
     v = rng.uniform(-1, 1, m.nv)
     tau = rng.uniform(-1, 1, m.nv)
-    a = ufd(m, q, v, tau)
+    dyn = dynamics_at(m, q, v)
+    a = dyn.solve(tau - dyn.bias)
     np.testing.assert_allclose(inverse_dynamics(m, q, v, a), tau, atol=1e-10)
 
 
 def test_id_state_derivatives_match_fd():
     eps = 1e-6
-    for m in (sphere_model(), chain_model(4, foot_links=[3])):
+    fourleg = load_scene("fourleg")[0]
+    for m in (sphere_model(), chain_model(4, foot_links=[3]), fourleg, fixed_joint_tree()):
         q = random_config(m, rng)
         v = rng.uniform(-1, 1, m.nv)
         a = rng.uniform(-1, 1, m.nv)
@@ -194,8 +221,6 @@ def test_applied_wrench_q_derivative_matches_fd():
     wrenches = np.zeros((m.nb, 6))
     wrenches[body] = phi
     D = applied_wrench_q_derivative(m, kin, wrenches)
-    from diffcontact.model import body_jacobian_world
-
     for k in range(m.nv):
         e = np.zeros(m.nv)
         e[k] = eps

@@ -6,7 +6,8 @@ themselves; chart oracles are the group axioms.
 import numpy as np
 import pytest
 
-from conftest import chain_model, cube_model, fixed_chain_no_contact, translation
+from conftest import chain_model, cube_model, fixed_chain_no_contact, fixed_joint_tree, translation
+from diffcontact.cli import load_scene
 from diffcontact.model import (
     JointSpec,
     KinematicModel,
@@ -181,20 +182,20 @@ def test_body_velocities_consistent_with_jacobian():
 def test_jv_q_derivatives_match_fd():
     # d(J_b v)/dq with v held fixed, body-b world twist
     eps = 1e-6
-    m = chain_model(3)
-    q = random_config(m, rng)
-    v = rng.uniform(-1, 1, m.nv)
-    kin = compute_kinematics(m, q)
-    dJv, _ = jv_q_derivatives(m, kin, v)
-    for body in range(len(m.joints)):
-        for k in range(m.nv):
-            e = np.zeros(m.nv)
-            e[k] = eps
-            kp = compute_kinematics(m, integrate(m, q, e))
-            km = compute_kinematics(m, integrate(m, q, -e))
-            fd = (body_jacobian_world(m, kp, body) @ v
-                  - body_jacobian_world(m, km, body) @ v) / (2 * eps)
-            np.testing.assert_allclose(dJv[body][:, k], fd, atol=5e-6)
+    for m in (chain_model(3), load_scene("fourleg")[0], fixed_joint_tree()):
+        q = random_config(m, rng)
+        v = rng.uniform(-1, 1, m.nv)
+        kin = compute_kinematics(m, q)
+        dJv, _ = jv_q_derivatives(m, kin, v)
+        for body in range(len(m.joints)):
+            for k in range(m.nv):
+                e = np.zeros(m.nv)
+                e[k] = eps
+                kp = compute_kinematics(m, integrate(m, q, e))
+                km = compute_kinematics(m, integrate(m, q, -e))
+                fd = (body_jacobian_world(m, kp, body) @ v
+                      - body_jacobian_world(m, km, body) @ v) / (2 * eps)
+                np.testing.assert_allclose(dJv[body][:, k], fd, atol=5e-6)
 
 
 def test_selection_matrix_picks_actuated_rows():

@@ -136,6 +136,10 @@ def test_force_cross_is_negative_ad_transpose():
     for _ in range(10):
         x = rng.uniform(-2, 2, 6)
         np.testing.assert_allclose(force_cross(x), -motion_cross(x).T, atol=0)
+    X = rng.uniform(-2, 2, (3, 6))
+    for i in range(3):
+        np.testing.assert_array_equal(motion_cross(X)[i], motion_cross(X[i]))
+        np.testing.assert_array_equal(force_cross(X)[i], force_cross(X[i]))
 
 
 def test_p_operator_swaps_arguments_of_ad_transpose():
@@ -161,6 +165,14 @@ def test_columnwise_cross_helpers():
     expect_f = np.stack([force_cross(A[:, k]) @ y for k in range(5)], axis=1)
     np.testing.assert_allclose(motion_cross_cols(A, b), expect_m, atol=1e-12)
     np.testing.assert_allclose(force_cross_cols(A, y), expect_f, atol=1e-12)
+    # The 3-blocks are computed as np.cross computes them.
+    np.testing.assert_array_equal(motion_cross_cols(A, b)[:3], np.cross(A[:3].T, b[:3]).T)
+    # Leading axes broadcast: a stack of (A, b) pairs gives each pair's result.
+    As, bs = rng.uniform(-1, 1, (4, 6, 5)), rng.uniform(-1, 1, (4, 6))
+    for fn in (motion_cross_cols, force_cross_cols):
+        stacked = fn(As, bs)
+        for i in range(4):
+            np.testing.assert_array_equal(stacked[i], fn(As[i], bs[i]))
 
 
 def test_quaternion_round_trip():
