@@ -211,12 +211,10 @@ def cmd_simulate(args) -> int:
 _BLOCK_ORDER = ("dv", "dq", "dlam")
 
 
-def _jacobian_rows(jac, thetas):
+def _jacobian_rows(jac):
     rows = []
     for blk in _BLOCK_ORDER:
-        store = getattr(jac, blk)
-        for t in thetas:
-            mat = store[t]
+        for t, mat in getattr(jac, blk).items():
             for i in range(mat.shape[0]):
                 rows.append([blk, t, i] + [float(x) for x in mat[i]])
     return rows
@@ -226,8 +224,7 @@ def cmd_jacobian(args) -> int:
     model, state, params = load_scene(args.scene)
     res = step(model, state, None, params)
     jac = step_jacobian(model, state, None, params, res, theta=args.theta)
-    thetas = ("q", "v", "tau") if args.theta == "all" else (args.theta,)
-    rows = _jacobian_rows(jac, thetas)
+    rows = _jacobian_rows(jac)
     if args.out:
         _write_csv(args.out, ["block", "theta", "row", "values..."], rows)
         log.info("wrote jacobian to %s", args.out)
@@ -243,12 +240,12 @@ def cmd_jacobian(args) -> int:
     return 0
 
 
-def _block_errors(jac, fd, thetas):
+def _block_errors(jac, fd):
     errs = {}
     for blk in _BLOCK_ORDER:
         amat, fmat = getattr(jac, blk), getattr(fd, blk)
-        for t in thetas:
-            if t not in amat or amat[t].size == 0:
+        for t in amat:
+            if amat[t].size == 0:
                 continue
             denom = max(1.0, float(np.abs(fmat[t]).max()))
             errs[f"{blk}/{t}"] = float(np.abs(amat[t] - fmat[t]).max()) / denom
@@ -261,8 +258,7 @@ def cmd_fdcheck(args) -> int:
     jac = step_jacobian(model, state, None, params, res, theta=args.theta)
     fd = fd_step_jacobian(model, state, None, params, theta=args.theta, eps=args.eps,
                           base=res)
-    thetas = ("q", "v", "tau") if args.theta == "all" else (args.theta,)
-    errs = _block_errors(jac, fd, thetas)
+    errs = _block_errors(jac, fd)
     if jac.rank_deficient:
         # lambda is non-unique on redundant patches; only its effect on v is
         dropped = [k for k in errs if k.startswith("dlam/")]
@@ -423,7 +419,7 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("fdcheck", help="compare analytic vs central differences")
     add_scene(p)
-    p.add_argument("--theta", choices=("q", "v", "tau", "all"), default="all")
+    p.add_argument("--theta", choices=("q", "v", "tau", "mu", "all"), default="all")
     p.add_argument("--eps", type=float, default=1e-6)
     p.add_argument("--tol", type=float, default=1e-4)
     p.set_defaults(fn=cmd_fdcheck)

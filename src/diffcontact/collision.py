@@ -59,7 +59,9 @@ class Box:
 @dataclass(frozen=True)
 class ContactFrame:
     """One contact: world placement (z axis = normal), signed distance and
-    bookkeeping for warm starts and scene wiring."""
+    bookkeeping for warm starts and scene wiring. `boundary` marks a box
+    face tie or a normal on the tangent-basis reference switch, where the
+    contact frame is not differentiable."""
 
     placement: Placement
     signed_distance: float
@@ -86,7 +88,6 @@ class CdDerivatives:
 
     d_m1: np.ndarray
     d_m2: np.ndarray
-    boundary: bool = False
 
 
 _REF_SWITCH = 0.99
@@ -258,7 +259,7 @@ def narrow_phase(shape1, shape2, M1: Placement, M2: Placement, margin: float = 1
                 placement=Placement(frame_from_normal(rec.normal), rec.point),
                 signed_distance=rec.phi,
                 feature=rec.feature,
-                boundary=rec.boundary,
+                boundary=bool(rec.boundary or abs(abs(rec.normal[0]) - _REF_SWITCH) < 1e-6),
             )
         )
     return frames
@@ -273,10 +274,9 @@ def _match_record(records, frame: ContactFrame):
 
 def _cd_from_record(rec: _Record, frame: ContactFrame) -> CdDerivatives:
     R_c = frame.placement.rotation
-    boundary = rec.boundary or abs(abs(rec.normal[0]) - _REF_SWITCH) < 1e-6
     w = _frame_rotation_differential(rec.normal, rec.dn)
     out = np.vstack([R_c.T @ w, R_c.T @ rec.dp])
-    return CdDerivatives(d_m1=out[:, :6], d_m2=out[:, 6:], boundary=boundary)
+    return CdDerivatives(d_m1=out[:, :6], d_m2=out[:, 6:])
 
 
 def cd_derivatives(shape1, shape2, M1, M2, frame: ContactFrame, margin: float = 1e-4) -> CdDerivatives:

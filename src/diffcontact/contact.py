@@ -138,7 +138,11 @@ def ncp_residual(problem: ContactProblem, lam, sigma=None) -> float:
     The alignment term |lam_T |sigma_T| + mu lam_N sigma_T| is first order
     in the angle between the friction impulse and the slip direction;
     the complementarity gap alone is only second order in it, which would
-    let a warm-started solve stop with a stale friction direction."""
+    let a warm-started solve stop with a stale friction direction.
+
+    Both terms scale with lam, so they are divided by min(1, |lam_c|): a
+    contact carrying a tiny impulse must still meet the tolerance in its
+    contact velocity, never more loosely than at |lam_c| = 1."""
     if problem.n == 0:
         return 0.0
     if sigma is None:
@@ -150,12 +154,13 @@ def ncp_residual(problem: ContactProblem, lam, sigma=None) -> float:
         s_t = math.hypot(s0, s1)
         y2 = s2 + mu * s_t  # normal part of y = sigma + Gamma(sigma)
         dual = max(-y2, 0.0) if mu == 0.0 else _cone_distance(s0, s1, y2, 1.0 / mu)
+        lam_scale = min(1.0, math.hypot(l0, l1, l2)) or 1.0
         worst = max(
             worst,
             _cone_distance(l0, l1, l2, mu),
             dual,
-            abs(l0 * s0 + l1 * s1 + l2 * y2),
-            math.hypot(l0 * s_t + mu * l2 * s0, l1 * s_t + mu * l2 * s1),
+            abs(l0 * s0 + l1 * s1 + l2 * y2) / lam_scale,
+            math.hypot(l0 * s_t + mu * l2 * s0, l1 * s_t + mu * l2 * s1) / lam_scale,
         )
     return worst / max(1.0, max(map(abs, problem.g.tolist())))
 

@@ -7,9 +7,12 @@ Differentiating the solved contact modes gives, per contact:
             e_z x u], with the weighting P = blockdiag((1/alpha)(I - u u^T), 1),
             alpha = |sigma_T| / (mu lambda_N), and Q = diag(0, 1).
 Active contacts couple through the Delassus matrix into one reduced linear
-system A X = -B rhs with A = B G C + diag(Q); B stacks identity rows
-(sticking) and R^T P rows (sliding), C the matching columns. Frictionless
-(mu = 0) active contacts reduce to their normal row alone.
+system A X = -B rhs with A = B G C + diag(Q) and dlambda = C X; B stacks
+identity rows (sticking) and R^T P rows (sliding), C the matching columns.
+Frictionless (mu = 0) active contacts reduce to their normal row alone.
+A is factored once per step and every theta block (q, v, tau, mu) solves
+with those factors. For mu, rhs = G p with p the impulse direction along
+the sliding cone at fixed sigma, and p is added back to the solved dlambda.
 
 The right-hand side rhs = dG lambda + dg is the derivative of the contact
 velocity at frozen impulse; it collects the smooth-dynamics partials, the
@@ -56,9 +59,6 @@ class SlidingBasis:
     slip_dir: np.ndarray  # (2,) unit tangential slip direction u
 
 
-_Q_SLIDING = np.diag([0.0, 1.0])
-
-
 def sliding_basis(lam_c: np.ndarray, sigma_c: np.ndarray, mu: float) -> SlidingBasis:
     s_t = float(np.hypot(sigma_c[0], sigma_c[1]))
     lam_norm = float(np.linalg.norm(lam_c))
@@ -78,95 +78,64 @@ def sliding_basis(lam_c: np.ndarray, sigma_c: np.ndarray, mu: float) -> SlidingB
 
 @dataclass
 class ReducedSystem:
-    """Mode-reduced implicit system on the active contacts."""
+    """Mode-reduced implicit system A X = -B rhs on the active contacts, with
+    dlambda = C X. A is factored once, with its rank decision."""
 
-    A: np.ndarray
-    entries: list          # (contact index, mode, offset, width, basis|None)
-    n_contacts: int
-    size: int
+    A: np.ndarray      # (m, m) B G C + diag(Q)
+    B: np.ndarray      # (m, 3n)
+    C: np.ndarray      # (3n, m)
+    QR: tuple          # (Q, R) factors of A
+    deficient: bool    # redundant active set: solves fall back to least squares
 
-    def reduce(self, rhs: np.ndarray) -> np.ndarray:
-        """Apply B: select sticking rows, project sliding rows by R^T P,
-        frictionless rows by e_z."""
-        rhs = np.atleast_2d(rhs.T).T if rhs.ndim == 1 else rhs
-        out = np.zeros((self.size, rhs.shape[1]))
-        for c, mode, off, width, basis in self.entries:
-            block = rhs[3 * c : 3 * c + 3]
-            if basis is not None:
-                out[off : off + width] = basis.R.T @ (basis.P @ block)
-            elif width == 3:
-                out[off : off + 3] = block
-            else:
-                out[off] = block[2]
-        return out
-
-    def expand(self, X: np.ndarray) -> np.ndarray:
-        """Apply C: scatter reduced unknowns back to stacked impulses."""
-        out = np.zeros((3 * self.n_contacts, X.shape[1]))
-        for c, mode, off, width, basis in self.entries:
-            if basis is not None:
-                out[3 * c : 3 * c + 3] = basis.R @ X[off : off + width]
-            elif width == 3:
-                out[3 * c : 3 * c + 3] = X[off : off + 3]
-            else:
-                out[3 * c + 2] = X[off]
-        return out
+    @property
+    def size(self) -> int:
+        return self.A.shape[0]
 
 
 def assemble_reduced_system(problem: ContactProblem, solution: ContactSolution) -> ReducedSystem:
-    """Build A = B G C + diag(0 | Q) over the non-breaking contacts."""
-    entries = []
+    """Build A = B G C + diag(Q) over the non-breaking contacts: per contact,
+    B rows and C columns I (sticking), R^T P and R (sliding, with Q =
+    diag(0, 1)) or e_z^T and e_z (frictionless)."""
+    n3 = 3 * problem.n
+    B, C, Q = np.zeros((n3, n3)), np.zeros((n3, n3)), np.zeros(n3)
     off = 0
     for c, mode in enumerate(solution.modes):
         if mode is Mode.BREAKING:
             continue
-        mu = float(problem.mu[c])
+        i = 3 * c
         if mode is Mode.SLIDING:
-            basis = sliding_basis(
-                solution.lam[3 * c : 3 * c + 3], solution.sigma[3 * c : 3 * c + 3], mu
-            )
-            entries.append((c, mode, off, 2, basis))
+            basis = sliding_basis(solution.lam[i : i + 3], solution.sigma[i : i + 3],
+                                  float(problem.mu[c]))
+            B[off : off + 2, i : i + 3] = basis.R.T @ basis.P
+            C[i : i + 3, off : off + 2] = basis.R
+            Q[off + 1] = 1.0
             off += 2
-        elif mu == 0.0:
-            entries.append((c, mode, off, 1, None))
+        elif problem.mu[c] == 0.0:
+            B[off, i + 2] = C[i + 2, off] = 1.0
             off += 1
         else:
-            entries.append((c, mode, off, 3, None))
+            B[off : off + 3, i : i + 3] = C[i : i + 3, off : off + 3] = np.eye(3)
             off += 3
-    size = off
-    A = np.zeros((size, size))
-    for ci, mi, oi, wi, bi in entries:
-        for cj, mj, oj, wj, bj in entries:
-            Gij = problem.G[3 * ci : 3 * ci + 3, 3 * cj : 3 * cj + 3]
-            if bj is not None:
-                Gij = Gij @ bj.R
-            elif wj == 1:
-                Gij = Gij[:, 2:3]
-            if bi is not None:
-                Gij = bi.R.T @ (bi.P @ Gij)
-            elif wi == 1:
-                Gij = Gij[2:3, :]
-            A[oi : oi + wi, oj : oj + wj] = Gij
-        if bi is not None:
-            A[oi : oi + wi, oi : oi + wi] += _Q_SLIDING
-    return ReducedSystem(A=A, entries=entries, n_contacts=problem.n, size=size)
+    B, C = B[:off], C[:, :off]
+    A = B @ problem.G @ C + np.diag(Q[:off])
+    factors = qr(A)
+    diag = np.abs(np.diag(factors[1]))
+    deficient = bool(diag.min(initial=np.inf) <= 1e-12 * max(diag.max(initial=0.0), 1e-300))
+    return ReducedSystem(A=A, B=B, C=C, QR=factors, deficient=deficient)
 
 
 def solve_reduced(rs: ReducedSystem, rhs: np.ndarray):
-    """Solve A X = -B rhs; QR with a least-squares fallback when the active
-    set is redundant (returns the flag). The expanded impulse derivative is
-    unique in J_c^T dlambda even when dlambda itself is not."""
-    reduced = rs.reduce(rhs)
-    if rs.size == 0:
-        return np.zeros((3 * rs.n_contacts, reduced.shape[1])), False
-    Q, R = qr(rs.A)
-    diag = np.abs(np.diag(R))
-    deficient = bool(diag.min() <= 1e-12 * max(diag.max(), 1e-300))
-    if not deficient:
-        X = solve_triangular(R, Q.T @ (-reduced))
+    """dlambda = C X with A X = -B rhs, from the stored QR factors, or by least
+    squares when the active set is redundant (returns the flag). The
+    expanded impulse derivative is unique in J_c^T dlambda even when
+    dlambda itself is not."""
+    reduced = -(rs.B @ rhs)
+    if rs.deficient:
+        X = np.linalg.lstsq(rs.A, reduced, rcond=None)[0]
     else:
-        X = np.linalg.lstsq(rs.A, -reduced, rcond=None)[0]
-    return rs.expand(X), deficient
+        Q, R = rs.QR
+        X = solve_triangular(R, Q.T @ reduced)
+    return rs.C @ X, rs.deficient
 
 
 @dataclass
@@ -176,7 +145,6 @@ class _ContactDiff:
     Jc6: np.ndarray       # (6, nv) relative twist Jacobian in the frame
     dM: np.ndarray        # (6, nv) frame local twist per tangent: dm1 J1 + dm2 J2
     dphi_dq: np.ndarray   # (nv,)
-    boundary: bool
 
 
 def _contact_packs(model, kin, contacts, margin):
@@ -207,7 +175,6 @@ def _contact_packs(model, kin, contacts, margin):
                 Jc6=adjoint_inverse(Mc) @ (Jw1 - Jw2),
                 dM=cd.d_m1 @ J1 + cd.d_m2 @ J2,
                 dphi_dq=dphi_row[:6] @ J1 + dphi_row[6:] @ J2,
-                boundary=cd.boundary,
             )
         )
     return packs
@@ -269,10 +236,10 @@ def _parse_theta(theta, npairs: int):
     return [t for t in _THETAS if t in smooth], mu_cols
 
 
-def _frozen_impulse_rhs(model, state, params, result, packs, smooth):
+def _frozen_impulse_rhs(model, state, params, result, smooth):
     """Per smooth theta block: dvp, the derivative of v+ at frozen impulse,
     and rhs = dG lambda* + dg, the frozen-impulse derivative of the contact
-    velocity sigma (3n x nv)."""
+    velocity sigma (3n x nv). The contact packs are built for q only."""
     dyn = result.dyn
     kin = dyn.kin
     v = state.v
@@ -281,6 +248,8 @@ def _frozen_impulse_rhs(model, state, params, result, packs, smooth):
     kd = params.baumgarte_kd
     v_plus = result.state.v
     contacts = result.contacts
+    if "q" in smooth and contacts:
+        packs = _contact_packs(model, kin, contacts, params.contact_margin)
 
     dvp = {}
     if "q" in smooth or "v" in smooth:
@@ -326,8 +295,7 @@ def _frozen_impulse_rhs(model, state, params, result, packs, smooth):
                 rows -= kd * ((Xc_inv @ dJvd0)[3:] + collision_correction_jv(pack, v))
             rhs["q"][3 * i : 3 * i + 3] += rows
     if "v" in smooth and kd != 0.0:
-        for i, pack in enumerate(packs):
-            rhs["v"][3 * i : 3 * i + 3] -= kd * pack.Jc6[3:]
+        rhs["v"] -= kd * result.J_c
     return dvp, rhs
 
 
@@ -361,42 +329,34 @@ def step_jacobian(model: KinematicModel, state, tau, params, result, theta="all"
     Breaking contacts contribute zero derivative rows; at the activation
     boundary this is the one-sided derivative from the inactive side."""
     smooth, mu_cols = _parse_theta(theta, len(model.pairs))
-    dt = params.dt
-    nv = model.nv
     dyn = result.dyn
     contacts = result.contacts
-    n = len(contacts)
 
     out = StepJacobian()
-    packs = []
-    if n:
-        packs = _contact_packs(model, dyn.kin, contacts, params.contact_margin)
-        out.boundary = any(p.boundary for p in packs)
+    dvp, rhs = _frozen_impulse_rhs(model, state, params, result, smooth)
+    if mu_cols is not None:
+        p_dir = _mu_impulse_direction(model, result, mu_cols)
+        dvp["mu"] = np.zeros((model.nv, len(mu_cols)))
+    if contacts:
+        out.boundary = any(f.boundary for f in contacts)
         out.ambiguous = bool(result.solution.ambiguous.any())
         out.converged = result.solution.converged
         rs = assemble_reduced_system(result.problem, result.solution)
-    dvp, rhs = _frozen_impulse_rhs(model, state, params, result, packs, smooth)
+        out.rank_deficient = rs.deficient
+        if mu_cols is not None:
+            rhs["mu"] = result.problem.G @ p_dir
 
-    for t in smooth:
-        if n:
-            dlam_t, deficient = solve_reduced(rs, rhs[t])
-            out.rank_deficient |= deficient
-            out.dlam[t] = dlam_t
-            out.dv[t] = dvp[t] + dyn.solve(result.J_c.T @ dlam_t)
-        else:
-            out.dlam[t] = np.zeros((0, nv))
-            out.dv[t] = dvp[t]
-    if mu_cols is not None:
-        if n:
-            p_dir = _mu_impulse_direction(model, result, mu_cols)
-            dlam_mu, deficient = solve_reduced(rs, result.problem.G @ p_dir)
-            out.rank_deficient |= deficient
-            out.dlam["mu"] = dlam_mu + p_dir
-            out.dv["mu"] = dyn.solve(result.J_c.T @ out.dlam["mu"])
-        else:
-            out.dlam["mu"] = np.zeros((0, len(mu_cols)))
-            out.dv["mu"] = np.zeros((nv, len(mu_cols)))
+    for t, dvp_t in dvp.items():
+        if not contacts:
+            out.dlam[t], out.dv[t] = np.zeros((0, dvp_t.shape[1])), dvp_t
+            continue
+        dlam_t = solve_reduced(rs, rhs[t])[0]
+        if t == "mu":
+            dlam_t = dlam_t + p_dir
+        out.dlam[t] = dlam_t
+        out.dv[t] = dvp_t + dyn.solve(result.J_c.T @ dlam_t)
 
+    dt = params.dt
     Dq, Dd = integrate_jacobians(model, state.q, dt * result.state.v)
     for t, dv_t in out.dv.items():
         out.dq[t] = dt * (Dd @ dv_t)
@@ -410,5 +370,4 @@ def rhs_contact_velocity(model, state, tau, params, result, theta="q") -> np.nda
     derivative of the contact velocity sigma (3n x n_theta)."""
     if theta not in _THETAS:
         raise ValueError("theta must be one of 'q', 'v', 'tau'")
-    packs = _contact_packs(model, result.dyn.kin, result.contacts, params.contact_margin)
-    return _frozen_impulse_rhs(model, state, params, result, packs, [theta])[1][theta]
+    return _frozen_impulse_rhs(model, state, params, result, [theta])[1][theta]

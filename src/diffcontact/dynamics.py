@@ -13,8 +13,8 @@ the bodies j on that path, so anc @ X sums a per-body increment X from
 the root down to every body (the body twists are V = anc @ W for the joint
 twists W). A sum over bodies of J_i^T X_i is one product of the (nv, 6 nb)
 stacked Jacobian rows with the stacked X. The body terms come from
-model._body_terms, which model.jv_q_derivatives reads too, so the velocity
-recursion exists once.
+model._body_terms (its twists from model._body_twists, which
+model.jv_q_derivatives reads too), so the velocity recursion exists once.
 
 Sign conventions: M(q) vdot + b(q, v) = tau + J_c^T lambda, with lambda in
 force units here (the simulator converts impulses).
@@ -30,9 +30,10 @@ from .model import (
     KinematicModel,
     Kinematics,
     _body_terms,
+    _body_twists,
+    _jv_q,
     _parent_rows,
     compute_kinematics,
-    jv_q_derivatives,
 )
 from .spatial import (
     force_cross,
@@ -117,8 +118,9 @@ def id_state_derivatives(model: KinematicModel, kin: Kinematics, Iw, v, a):
     products."""
     nb, nv = model.nb, model.nv
     J, W, V, Vp, Xi = _body_terms(model, kin, v)
-    dJv, _ = jv_q_derivatives(model, kin, v)
-    dJa, A = jv_q_derivatives(model, kin, a)
+    dJv = _jv_q(model, kin, V, Vp)
+    _, A, Ap = _body_twists(model, kin, a)
+    dJa = _jv_q(model, kin, A, Ap)
 
     def dXi_along(dV):
         """Derivative of Xi = anc @ (Vp x W), given the body-twist derivative

@@ -14,7 +14,7 @@ import dataclasses
 
 import numpy as np
 
-from .derivatives import StepJacobian
+from .derivatives import StepJacobian, _parse_theta
 from .model import KinematicModel, difference, integrate
 from .simulator import SimParams, SimState, step, rollout
 
@@ -60,51 +60,43 @@ def _aligned_lam(result, base_contacts) -> np.ndarray:
 
 
 def fd_step_jacobian(model: KinematicModel, state: SimState, tau=None,
-                     params: SimParams | None = None, theta: str = "all",
-                     eps: float = 1e-6, mu_pair: int = 0, base=None) -> StepJacobian:
-    """Central-difference analogue of step_jacobian.
+                     params: SimParams | None = None, theta="all",
+                     eps: float = 1e-6, base=None) -> StepJacobian:
+    """Central-difference analogue of step_jacobian, with the same theta
+    forms and the same block columns.
 
     Costs 2 step calls per perturbed direction, plus one for the base solve
     when a precomputed StepResult is not passed in.
     """
+    smooth, mu_cols = _parse_theta(theta, len(model.pairs))
     params = params or SimParams()
     tau = np.zeros(model.nv) if tau is None else np.asarray(tau, dtype=float)
     if base is None:
         base = step(model, state, tau, params)
     warm = base.warm_start()
     q_plus = base.state.q
-    nlam = 3 * len(base.contacts)
-    thetas = ("q", "v", "tau") if theta == "all" else (theta,)
 
+    def perturbed(t, k, s):
+        """The step with column k of block t moved by s."""
+        if t == "mu":
+            return step(with_pair_mu(model, k, model.pairs[k].mu + s), state, tau, params, warm)
+        if t == "tau":
+            return step(model, state, tau + s * _basis(model.nv, k), params, warm)
+        return step(model, perturb_state(model, state, t, k, s), tau, params, warm)
+
+    blocks = {t: range(model.nv) for t in smooth}
+    if mu_cols is not None:
+        blocks["mu"] = mu_cols
     out = StepJacobian()
-    for t in thetas:
-        if t == "mu" or isinstance(t, tuple):
-            pair = t[1] if isinstance(t, tuple) else mu_pair
-            mu0 = model.pairs[pair].mu
-            res_p = step(with_pair_mu(model, pair, mu0 + eps), state, tau, params, warm)
-            res_m = step(with_pair_mu(model, pair, mu0 - eps), state, tau, params, warm)
-            out.dv["mu"] = ((res_p.state.v - res_m.state.v) / (2 * eps)).reshape(-1, 1)
-            out.dq["mu"] = ((difference(model, q_plus, res_p.state.q)
-                             - difference(model, q_plus, res_m.state.q)) / (2 * eps)).reshape(-1, 1)
-            out.dlam["mu"] = ((_aligned_lam(res_p, base.contacts)
-                               - _aligned_lam(res_m, base.contacts)) / (2 * eps)).reshape(-1, 1)
-            continue
-        dv = np.zeros((model.nv, model.nv))
-        dq = np.zeros((model.nv, model.nv))
-        dlam = np.zeros((nlam, model.nv))
-        for k in range(model.nv):
-            if t == "tau":
-                res_p = step(model, state, tau + eps * _basis(model.nv, k), params, warm)
-                res_m = step(model, state, tau - eps * _basis(model.nv, k), params, warm)
-            else:
-                res_p = step(model, perturb_state(model, state, t, k, eps), tau, params, warm)
-                res_m = step(model, perturb_state(model, state, t, k, -eps), tau, params, warm)
-            dv[:, k] = (res_p.state.v - res_m.state.v) / (2 * eps)
-            dq[:, k] = (difference(model, q_plus, res_p.state.q)
-                        - difference(model, q_plus, res_m.state.q)) / (2 * eps)
-            dlam[:, k] = (_aligned_lam(res_p, base.contacts)
-                          - _aligned_lam(res_m, base.contacts)) / (2 * eps)
-        out.dv[t], out.dq[t], out.dlam[t] = dv, dq, dlam
+    for t, cols in blocks.items():
+        diffs = []
+        for k in cols:
+            res_p, res_m = perturbed(t, k, eps), perturbed(t, k, -eps)
+            diffs.append((res_p.state.v - res_m.state.v,
+                          difference(model, q_plus, res_p.state.q)
+                          - difference(model, q_plus, res_m.state.q),
+                          _aligned_lam(res_p, base.contacts) - _aligned_lam(res_m, base.contacts)))
+        out.dv[t], out.dq[t], out.dlam[t] = (np.stack(d, axis=1) / (2 * eps) for d in zip(*diffs))
     return out
 
 

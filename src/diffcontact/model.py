@@ -116,6 +116,8 @@ class KinematicModel:
                 body_of_col[self.v_slice(b)] = b
                 b = int(self.parents[b])
         self.body_of_col = body_of_col
+        # col_owner[k, i]: tangent column k belongs to body i's own joint.
+        self.col_owner = body_of_col[:, None] == np.arange(self.nb)
         # row_support[r, k]: column k's joint supports the body carrying
         # tangent row r. Used by the analytic inverse-dynamics derivatives.
         self.row_support = self.support[:, self.body_of_col].T
@@ -330,14 +332,17 @@ def _body_terms(model: KinematicModel, kin: Kinematics, v: np.ndarray):
     (nb, 6, nv); the joint twists W_i = psi v on body i's own columns; the
     body twists V = anc @ W; the parent twists Vp (zero at a root); and the
     velocity-product accelerations Xi = anc @ (Vp x W), all (nb, 6)."""
-    psi = kin.psi
-    J = psi * model.support.T[:, None, :]
-    owner = model.body_of_col[:, None] == np.arange(model.nb)
-    W = ((psi * v) @ owner).T
-    V = model.anc @ W
-    Vp = _parent_rows(model, V)
+    J = kin.psi * model.support.T[:, None, :]
+    W, V, Vp = _body_twists(model, kin, v)
     Xi = model.anc @ motion_cross_cols(Vp[:, :, None], W)[:, :, 0]
     return J, W, V, Vp, Xi
+
+
+def _body_twists(model: KinematicModel, kin: Kinematics, v: np.ndarray):
+    """(W, V, Vp) of _body_terms alone: joint, body and parent twists."""
+    W = ((kin.psi * v) @ model.col_owner).T
+    V = model.anc @ W
+    return W, V, _parent_rows(model, V)
 
 
 def jv_q_derivatives(model: KinematicModel, kin: Kinematics, v: np.ndarray):
@@ -347,7 +352,12 @@ def jv_q_derivatives(model: KinematicModel, kin: Kinematics, v: np.ndarray):
     Column k of body i is psi_k x (V_i - V_above(k)) on the kinematic path
     and zero elsewhere, where V_above(k) is the twist of the parent of the
     body that owns column k."""
-    _, _, V, Vp, _ = _body_terms(model, kin, v)
+    _, V, Vp = _body_twists(model, kin, v)
+    return _jv_q(model, kin, V, Vp), V
+
+
+def _jv_q(model: KinematicModel, kin: Kinematics, V: np.ndarray, Vp: np.ndarray):
+    """jv_q_derivatives from given body and parent twists V, Vp (nb, 6)."""
     rel = V[:, None, :] - Vp[model.body_of_col]               # (nb, nv, 6)
     dJv = motion_cross_cols(kin.psi.T[:, :, None], rel)[..., 0]  # (nb, nv, 6)
-    return dJv.transpose(0, 2, 1) * model.support.T[:, None, :], V
+    return dJv.transpose(0, 2, 1) * model.support.T[:, None, :]

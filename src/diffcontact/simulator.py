@@ -216,19 +216,15 @@ def rollout_jacobian(model: KinematicModel, state0: SimState, tau_seq=None, hori
     else:
         Jq = np.eye(nv) if theta == "q0" else np.zeros((nv, nv))
         Jv = np.eye(nv) if theta == "v0" else np.zeros((nv, nv))
-    results = []
-    state = state0
-    warm = None
-    for t in range(horizon):
-        tau_t = _tau_at(tau_seq, t, nv)
-        res = step(model, state, tau_t, params, warm_start=warm)
-        results.append(res)
+    results = rollout(model, state0, tau_seq, horizon, params)
+    for t, res in enumerate(results):
         blocks = ["q", "v"]
         if theta == "tau0" and t == 0:
             blocks.append("tau")
         elif theta == "mu":
             blocks.append(("mu", mu_pair))
-        jac = step_jacobian(model, state, tau_t, params, res, theta=blocks)
+        state = results[t - 1].state if t else state0
+        jac = step_jacobian(model, state, _tau_at(tau_seq, t, nv), params, res, theta=blocks)
         Jv_new = jac.dv["q"] @ Jq + jac.dv["v"] @ Jv
         Jq_new = jac.dq["q"] @ Jq + jac.dq["v"] @ Jv
         if "tau" in jac.dv:
@@ -238,8 +234,6 @@ def rollout_jacobian(model: KinematicModel, state0: SimState, tau_seq=None, hori
             Jv_new += jac.dv["mu"]
             Jq_new += jac.dq["mu"]
         Jq, Jv = Jq_new, Jv_new
-        state = res.state
-        warm = res.warm_start()
     return results, Jq, Jv
 
 

@@ -135,6 +135,15 @@ def test_fdcheck_passes_at_default_tolerance(scene, capsys):
     assert "worst" in out
 
 
+def test_fdcheck_and_jacobian_take_the_mu_block(capsys):
+    code, out, _ = run(["fdcheck", "--scene", "chain12", "--theta", "mu"], capsys)
+    assert code == 0, out
+    assert "dv/mu" in out and "dv/q" not in out
+    code, out, _ = run(["jacobian", "--scene", "chain12", "--theta", "mu"], capsys)
+    assert code == 0
+    assert "dv/mu: shape (12, 4)" in out
+
+
 def test_fdcheck_fails_at_unreachable_tolerance(capsys):
     code, out, _ = run(["fdcheck", "--scene", "cube_slide", "--tol", "1e-13"], capsys)
     assert code == 1

@@ -238,3 +238,15 @@ def test_contact_frame_accessors():
                                np.array([1.0, 2.0, 0.0])), -0.01)
     np.testing.assert_allclose(f.normal, [0, 0, 1])
     np.testing.assert_allclose(f.point, [1, 2, 0])
+
+
+def test_narrow_phase_flags_frame_reference_switch():
+    """A normal with |n_x| = 0.99 sits where frame_from_normal switches its
+    reference axis, so the contact frame is flagged as a boundary."""
+    sphere = Sphere(0.1)
+    for nx, flagged in ((0.99, True), (-0.99, True), (0.5, False)):
+        n = np.array([nx, 0.0, np.sqrt(1.0 - nx * nx)])
+        plane = Halfspace(n)
+        ball = Placement(np.eye(3), 0.1 * n)
+        (frame,) = narrow_phase(sphere, plane, ball, Placement.identity())
+        assert frame.boundary is flagged

@@ -187,6 +187,24 @@ def test_warm_start_does_not_move_fixed_point():
     np.testing.assert_allclose(warm.lam, cold.lam, atol=1e-8)
 
 
+def test_small_impulse_solve_meets_tolerance_in_velocity():
+    """A sliding contact carrying lam ~ 1e-5: a converged warm-started solve
+    holds sigma_N to the tolerance, not to the tolerance over lam_N."""
+    gen = np.random.default_rng(47)
+    A = gen.normal(size=(3, 3))
+    G = (A @ A.T + 0.3 * np.eye(3)) * 1e3
+    prob = ContactProblem(G, np.array([-0.1, 0.0, -0.01]), np.array([0.8]))
+    ref = solve_ncp(prob, tol=1e-14, max_iters=100000)
+    assert ref.modes == [Mode.SLIDING] and 1e-6 < np.linalg.norm(ref.lam) < 1e-4
+    worst = 0.0
+    for _ in range(200):
+        warm = ref.lam * (1.0 + 1e-3 * gen.normal(size=3))
+        sol = solve_ncp(prob, tol=1e-14, max_iters=100000, warm_start=warm)
+        assert sol.converged and sol.modes == [Mode.SLIDING]
+        worst = max(worst, abs(sol.sigma[2]))
+    assert worst <= 1e-13
+
+
 def check_contact_principles(prob, sol, tol=1e-9):
     """Signorini, Coulomb cone, and maximum dissipation per contact."""
     scale = max(1.0, float(np.abs(prob.g).max()))
@@ -252,7 +270,7 @@ def test_empty_problem():
 
 def reference_residual(prob, lam, sigma):
     """ncp_residual written out on numpy 3-vectors with the public
-    projections."""
+    projections, the impulse-proportional terms divided by min(1, |lam_c|)."""
     worst = 0.0
     for c in range(prob.n):
         mu = float(prob.mu[c])
@@ -260,12 +278,14 @@ def reference_residual(prob, lam, sigma):
         sc = sigma[3 * c : 3 * c + 3]
         s_t = float(np.hypot(sc[0], sc[1]))
         y = sc + np.array([0.0, 0.0, mu * s_t])
+        lam_norm = float(np.linalg.norm(lc))
+        lam_scale = min(1.0, lam_norm) if lam_norm > 0.0 else 1.0
         worst = max(
             worst,
             np.linalg.norm(lc - cone_project(lc, mu)),
             np.linalg.norm(y - dual_cone_project(y, mu)),
-            abs(float(lc @ y)),
-            float(np.linalg.norm(lc[:2] * s_t + mu * lc[2] * sc[:2])),
+            abs(float(lc @ y)) / lam_scale,
+            float(np.linalg.norm(lc[:2] * s_t + mu * lc[2] * sc[:2])) / lam_scale,
         )
     return worst / max(1.0, float(np.abs(prob.g).max()))
 

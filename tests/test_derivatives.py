@@ -2,6 +2,7 @@
 modes, plus unit checks on the mode-reduced linear system."""
 import numpy as np
 import pytest
+from scipy.linalg import qr
 
 from conftest import (
     chain_model,
@@ -214,6 +215,42 @@ def test_step_jacobian_reuses_step_dynamics(monkeypatch):
                 assert np.array_equal(got[key], want[key])
 
 
+def test_reduced_system_factored_once_per_step_jacobian(monkeypatch):
+    """Every theta block solves with the one QR of A made per call."""
+    model, state, params = load_scene("cube_slide")
+    res = step(model, state, None, params)
+    assert res.contacts
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return qr(*args, **kwargs)
+
+    monkeypatch.setattr(derivatives, "qr", counting)
+    step_jacobian(model, state, None, params, res, theta=["q", "v", "tau", "mu"])
+    assert len(calls) == 1
+
+
+def test_contact_packs_built_for_q_only(monkeypatch):
+    """The v, tau and mu blocks need no contact-frame derivatives."""
+    model, state, params = load_scene("cube_slide")
+    res = step(model, state, None, params)
+    assert res.contacts
+    thetas = ("v", "tau", ("mu", 0))
+    expected = {t: step_jacobian(model, state, None, params, res, theta=t) for t in thetas}
+
+    def fail(*args, **kwargs):
+        raise AssertionError("contact packs built for a block that does not read them")
+
+    monkeypatch.setattr(derivatives, "_contact_packs", fail)
+    for theta, ref in expected.items():
+        jac = step_jacobian(model, state, None, params, res, theta=theta)
+        for blk in ("dv", "dq", "dlam"):
+            for key, want in getattr(ref, blk).items():
+                assert np.array_equal(getattr(jac, blk)[key], want)
+        assert jac.boundary == ref.boundary
+
+
 def test_step_jacobian_block_lists_match_single_blocks():
     """A list of blocks returns exactly what each block returns alone."""
     sc = SCENARIOS["chain_foot_slide"]
@@ -394,7 +431,8 @@ def test_reduced_system_skips_breaking_contacts():
 
 
 def test_reduced_system_matches_operator_composition():
-    """A equals reduce(G expand(.)) plus the sliding curvature block."""
+    """B, C and A = B G C + diag(Q), against per-contact blocks built from
+    sliding_basis and the identity."""
     gen = np.random.default_rng(14)
     mu = np.array([0.6, 0.8])
     prob = None
@@ -413,15 +451,30 @@ def test_reduced_system_matches_operator_composition():
         pytest.fail("no mixed sliding/sticking sample found")
     rs = assemble_reduced_system(prob, sol)
     assert rs.size == 5
-    Q_SLIDING = np.diag([0.0, 1.0])
-    for j in range(rs.size):
-        e = np.zeros((rs.size, 1))
-        e[j] = 1.0
-        col = rs.reduce(prob.G @ rs.expand(e))
-        for c, mode, off, width, basis in rs.entries:
-            if basis is not None:
-                col[off : off + width] += Q_SLIDING @ e[off : off + width]
-        np.testing.assert_allclose(rs.A[:, j : j + 1], col, atol=1e-12)
+    # expected B rows, C columns and Q block per contact, in contact order
+    B, C, Q = np.zeros((5, 6)), np.zeros((6, 5)), np.zeros((5, 5))
+    off = 0
+    for c, mode in enumerate(sol.modes):
+        i = 3 * c
+        if mode is Mode.SLIDING:
+            basis = sliding_basis(sol.lam[i : i + 3], sol.sigma[i : i + 3], mu[c])
+            B[off : off + 2, i : i + 3] = basis.R.T @ basis.P
+            C[i : i + 3, off : off + 2] = basis.R
+            Q[off + 1, off + 1] = 1.0
+            off += 2
+        else:
+            B[off : off + 3, i : i + 3] = np.eye(3)
+            C[i : i + 3, off : off + 3] = np.eye(3)
+            off += 3
+    np.testing.assert_allclose(rs.B, B, atol=1e-15)
+    np.testing.assert_allclose(rs.C, C, atol=1e-15)
+    np.testing.assert_allclose(rs.A, B @ prob.G @ C + Q, atol=1e-12)
+    # solve_reduced returns C X with A X = -B rhs
+    rhs = gen.normal(size=(6, 3))
+    dlam, deficient = solve_reduced(rs, rhs)
+    assert not deficient
+    np.testing.assert_allclose(dlam, C @ np.linalg.solve(B @ prob.G @ C + Q, -B @ rhs),
+                               atol=1e-9)
 
 
 def test_solve_reduced_flags_redundant_active_set():

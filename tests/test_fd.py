@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 from conftest import cube_model, cube_state, sphere_model, tight_params
+from diffcontact.cli import load_scene
+from diffcontact.derivatives import step_jacobian
 from diffcontact.fd import (
     fd_rollout_jacobian,
     fd_step_jacobian,
@@ -89,6 +91,24 @@ def test_fd_blocks_shapes_and_mu_column():
     assert set(fm.dv) == {"mu"}
     assert fm.dv["mu"].shape == (6, 1)
     assert fm.dlam["mu"].shape == (3 * n, 1)
+
+
+def test_fd_mu_block_has_one_column_per_pair():
+    """theta takes the step_jacobian forms: "mu" gives one column per
+    friction pair, ("mu", k) column k, and an out-of-range k is rejected."""
+    model, state, params = load_scene("chain12")
+    npairs = len(model.pairs)
+    assert npairs > 1
+    base = step(model, state, None, params)
+    fm = fd_step_jacobian(model, state, None, params, theta="mu", base=base)
+    jac = step_jacobian(model, state, None, params, base, theta="mu")
+    for blk in ("dv", "dq", "dlam"):
+        assert getattr(fm, blk)["mu"].shape == getattr(jac, blk)["mu"].shape
+    assert fm.dv["mu"].shape == (model.nv, npairs)
+    last = fd_step_jacobian(model, state, None, params, theta=("mu", npairs - 1), base=base)
+    assert np.array_equal(last.dv["mu"][:, 0], fm.dv["mu"][:, -1])
+    with pytest.raises(ValueError):
+        fd_step_jacobian(model, state, None, params, theta=("mu", npairs), base=base)
 
 
 def test_impulse_columns_aligned_by_feature():
