@@ -16,6 +16,14 @@ stacked Jacobian rows with the stacked X. The body terms come from
 model._body_terms (its twists from model._body_twists, which
 model.jv_q_derivatives reads too), so the velocity recursion exists once.
 
+The derivatives apply every cross product as an operator: a twist b gives
+the stacked ad(b) (motion_cross) and a wrench y the stacked P(y)
+(p_operator), both (nb, 6, 6). The columnwise products of a column stack
+A (nb, 6, nv), A_k x b and A_k x* y, are then -ad(b) A and -P(y) A, one
+batched product each. The forward terms (Xi and the body wrenches) keep
+the component-wise cross helpers on single columns, so a step does not
+depend on this form.
+
 Sign conventions: M(q) vdot + b(q, v) = tau + J_c^T lambda, with lambda in
 force units here (the simulator converts impulses).
 """
@@ -36,9 +44,10 @@ from .model import (
     compute_kinematics,
 )
 from .spatial import (
-    force_cross,
     force_cross_cols,
-    motion_cross_cols,
+    motion_cross,
+    motion_cross_cols,  # noqa: F401  unused; the benchmark tracer patches this name
+    p_operator,
     skew,
     spatial_inertia_local,  # noqa: F401  public here; KinematicModel stacks it once
 )
@@ -114,47 +123,44 @@ def id_state_derivatives(model: KinematicModel, kin: Kinematics, Iw, v, a):
     Every body term is built from the world axes psi; perturbing tangent
     column k transports psi_j, the body velocity twists and the world
     inertias by the twist field psi_k on the subtree, which gives closed
-    forms. Each body's increment is stacked, and the path sums are anc
-    products."""
+    forms. Each body's increment is stacked, the path sums are anc
+    products, and every cross product with a column stack is one ad or P
+    operator product."""
     nb, nv = model.nb, model.nv
-    J, W, V, Vp, Xi = _body_terms(model, kin, v)
+    J, _, V, Vp, Xi = _body_terms(model, kin, v)
     dJv = _jv_q(model, kin, V, Vp)
     _, A, Ap = _body_twists(model, kin, a)
     dJa = _jv_q(model, kin, A, Ap)
+    adV, adVp = motion_cross(V), motion_cross(Vp)
 
     def dXi_along(dV):
         """Derivative of Xi = anc @ (Vp x W), given the body-twist derivative
-        dV (nb, 6, nv); dW = dV - dVp."""
-        dVp = _parent_rows(model, dV)
-        inc = motion_cross_cols(dVp, W) - motion_cross_cols(dV - dVp, Vp)
+        dV (nb, 6, nv): dVp x W + Vp x (dV - dVp) = ad(Vp) dV - ad(V) dVp,
+        as W = V - Vp."""
+        inc = adVp @ dV - adV @ _parent_rows(model, dV)
         return (model.anc @ inc.reshape(nb, -1)).reshape(nb, 6, nv)
 
     dXi, Xi_v = dXi_along(dJv), dXi_along(J)
     h = _times(Iw, V)
     ahat = A + Xi + _gravity_offset(model)
+    Fv = -np.swapaxes(adV, 1, 2)  # V x*, force_cross(V)
+
+    def dI(x):
+        """Operator taking J to the variation of I_i x_i at fixed x_i."""
+        return Iw @ motion_cross(x) - p_operator(_times(Iw, x))
+
+    K = Fv @ Iw - p_operator(h)  # variation of V x* (I V) along dV
+    df = (dI(ahat) + Fv @ dI(V)) @ J + Iw @ (dJa + dXi) + K @ dJv
     f = _body_wrenches(Iw, V, ahat)
-    Fv = force_cross(V)
-
-    def dIx(x):
-        """delta I_i applied to a fixed motion x_i, columnwise over tangent k."""
-        return force_cross_cols(J, _times(Iw, x)) - Iw @ motion_cross_cols(J, x)
-
-    df = (
-        dIx(ahat)
-        + Iw @ (dJa + dXi)
-        + force_cross_cols(dJv, h)
-        + Fv @ (dIx(V) + Iw @ dJv)
-    )
     Jt = _rows(J).T
-    dID_q = Jt @ _rows(df) - (Jt @ _rows(force_cross_cols(kin.psi, f))) * model.row_support
-    df_v = Iw @ Xi_v + Fv @ (Iw @ J) + force_cross_cols(J, h)
-    return dID_q, Jt @ _rows(df_v)
+    dID_q = Jt @ _rows(df) + (Jt @ _rows(p_operator(f) @ kin.psi)) * model.row_support
+    return dID_q, Jt @ _rows(Iw @ Xi_v + K @ J)
 
 
 def applied_wrench_q_derivative(model: KinematicModel, kin: Kinematics, wrenches) -> np.ndarray:
     """d/dq of sum_b J_b^T phi_b for constant world wrenches phi_b, (nb, 6)."""
     J = kin.psi * model.support.T[:, None, :]
-    return -(_rows(J).T @ _rows(force_cross_cols(kin.psi, wrenches))) * model.row_support
+    return (_rows(J).T @ _rows(p_operator(wrenches) @ kin.psi)) * model.row_support
 
 
 def kinetic_energy(model: KinematicModel, q, v) -> float:

@@ -16,7 +16,7 @@ import numpy as np
 
 from .derivatives import StepJacobian, _parse_theta
 from .model import KinematicModel, difference, integrate
-from .simulator import SimParams, SimState, step, rollout
+from .simulator import SimParams, SimState, _check_rollout_theta, rollout, step
 
 
 def _basis(n: int, k: int) -> np.ndarray:
@@ -105,6 +105,7 @@ def fd_rollout_jacobian(model: KinematicModel, state0: SimState, tau_seq=None,
                         theta: str = "v0", eps: float = 1e-6, mu_pair: int = 0):
     """Final-state rollout derivative by central differences. Returns
     (dq_T, dv_T) in the tangent at the unperturbed final configuration."""
+    _check_rollout_theta(model, theta, mu_pair)
     params = params or SimParams()
     base = rollout(model, state0, tau_seq, horizon, params)
     q_T = base[-1].state.q
@@ -132,7 +133,7 @@ def fd_rollout_jacobian(model: KinematicModel, state0: SimState, tau_seq=None,
         elif theta == "v0":
             s_p = final(perturb_state(model, state0, "v", k, eps))
             s_m = final(perturb_state(model, state0, "v", k, -eps))
-        elif theta == "tau0":
+        else:  # "tau0"
             if tau_seq is None:
                 taus = np.zeros((horizon, nv))
             else:
@@ -144,8 +145,6 @@ def fd_rollout_jacobian(model: KinematicModel, state0: SimState, tau_seq=None,
             tm[0, k] -= eps / params.dt
             s_p = final(state0, taus=tp)
             s_m = final(state0, taus=tm)
-        else:
-            raise ValueError("theta must be 'q0', 'v0', 'tau0' or 'mu'")
         dq[:, k] = (difference(model, q_T, s_p.q) - difference(model, q_T, s_m.q)) / (2 * eps)
         dv[:, k] = (s_p.v - s_m.v) / (2 * eps)
     return dq, dv

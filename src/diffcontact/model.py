@@ -21,6 +21,7 @@ from .spatial import (
     _cross,
     adjoint,
     adjoint_inverse,
+    motion_cross,
     motion_cross_cols,
     quat_to_rotation,
     rotation_to_quat,
@@ -357,7 +358,9 @@ def jv_q_derivatives(model: KinematicModel, kin: Kinematics, v: np.ndarray):
 
 
 def _jv_q(model: KinematicModel, kin: Kinematics, V: np.ndarray, Vp: np.ndarray):
-    """jv_q_derivatives from given body and parent twists V, Vp (nb, 6)."""
-    rel = V[:, None, :] - Vp[model.body_of_col]               # (nb, nv, 6)
-    dJv = motion_cross_cols(kin.psi.T[:, :, None], rel)[..., 0]  # (nb, nv, 6)
-    return dJv.transpose(0, 2, 1) * model.support.T[:, None, :]
+    """jv_q_derivatives from given body and parent twists V, Vp (nb, 6).
+
+    psi_k x (V_i - Vp_b) = ad(Vp_b) psi_k - ad(V_i) psi_k, and the first
+    term (b the body owning column k) is the same for every body i."""
+    C = (motion_cross(Vp[model.body_of_col]) @ kin.psi.T[:, :, None])[:, :, 0].T
+    return (C - motion_cross(V) @ kin.psi) * model.support.T[:, None, :]

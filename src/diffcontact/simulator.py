@@ -194,6 +194,16 @@ def rollout(model: KinematicModel, state0: SimState, tau_seq=None, horizon: int 
     return results
 
 
+def _check_rollout_theta(model: KinematicModel, theta: str, mu_pair: int):
+    """Raise ValueError unless theta is 'q0', 'v0', 'tau0' or 'mu', and,
+    for 'mu', mu_pair indexes one of the model's friction pairs."""
+    if theta not in ("q0", "v0", "tau0", "mu"):
+        raise ValueError("theta must be 'q0', 'v0', 'tau0' or 'mu'")
+    npairs = len(model.pairs)
+    if theta == "mu" and not (isinstance(mu_pair, int) and 0 <= mu_pair < npairs):
+        raise ValueError(f"mu_pair must be an int with 0 <= mu_pair < {npairs}; got {mu_pair!r}")
+
+
 def rollout_jacobian(model: KinematicModel, state0: SimState, tau_seq=None, horizon: int = 1,
                      params: SimParams | None = None, theta: str = "v0",
                      mu_pair: int = 0):
@@ -206,8 +216,7 @@ def rollout_jacobian(model: KinematicModel, state0: SimState, tau_seq=None, hori
     """
     from .derivatives import step_jacobian
 
-    if theta not in ("q0", "v0", "tau0", "mu"):
-        raise ValueError("theta must be 'q0', 'v0', 'tau0' or 'mu'")
+    _check_rollout_theta(model, theta, mu_pair)
     params = params or SimParams()
     nv = model.nv
     if theta == "mu":

@@ -106,12 +106,12 @@ def force_cross(x: np.ndarray) -> np.ndarray:
 
 
 def p_operator(y: np.ndarray) -> np.ndarray:
-    """P_y with ad_x^T y == P_y x for every motion x; y = (torque, force)."""
-    out = np.zeros((6, 6))
-    m, f = skew(y[:3]), skew(y[3:])
-    out[:3, :3] = m
-    out[:3, 3:] = f
-    out[3:, :3] = f
+    """P_y with ad_x^T y == P_y x for every motion x; y = (torque, force).
+    Stacked like motion_cross, so P_y @ A == -force_cross_cols(A, y)."""
+    y = np.asarray(y, dtype=float)
+    out = np.zeros(y.shape[:-1] + (6, 6))
+    out[..., :3, :3] = skew(y[..., :3])
+    out[..., :3, 3:] = out[..., 3:, :3] = skew(y[..., 3:])
     return out
 
 

@@ -191,7 +191,8 @@ def test_dynamics_solve_is_forward_dynamics():
 def test_id_state_derivatives_match_fd():
     eps = 1e-6
     fourleg = load_scene("fourleg")[0]
-    for m in (sphere_model(), chain_model(4, foot_links=[3]), fourleg, fixed_joint_tree()):
+    chain12 = chain_model(12, foot_links=[2, 5, 8, 11])  # long paths: the anc sums matter
+    for m in (sphere_model(), chain_model(4, foot_links=[3]), fourleg, fixed_joint_tree(), chain12):
         q = random_config(m, rng)
         v = rng.uniform(-1, 1, m.nv)
         a = rng.uniform(-1, 1, m.nv)
@@ -210,25 +211,27 @@ def test_id_state_derivatives_match_fd():
 
 
 def test_applied_wrench_q_derivative_matches_fd():
-    # generalized force of a world-fixed wrench on a body: tau = J^T phi;
-    # its q-derivative at fixed phi
+    # generalized force of world-fixed wrenches phi_b on the bodies,
+    # tau = sum_b J_b^T phi_b; its q-derivative at fixed phi. One loaded
+    # tip of a chain, then every body of a free-base and a fixed-joint tree.
     eps = 1e-6
-    m = chain_model(4, foot_links=[3])
-    q = random_config(m, rng)
-    kin = compute_kinematics(m, q)
-    phi = rng.uniform(-1, 1, 6)
-    body = 3
-    wrenches = np.zeros((m.nb, 6))
-    wrenches[body] = phi
-    D = applied_wrench_q_derivative(m, kin, wrenches)
-    for k in range(m.nv):
-        e = np.zeros(m.nv)
-        e[k] = eps
-        kp = compute_kinematics(m, integrate(m, q, e))
-        km = compute_kinematics(m, integrate(m, q, -e))
-        fd = (body_jacobian_world(m, kp, body).T @ phi
-              - body_jacobian_world(m, km, body).T @ phi) / (2 * eps)
-        np.testing.assert_allclose(D[:, k], fd, atol=2e-5)
+    tip = np.zeros((4, 6))
+    tip[3] = rng.uniform(-1, 1, 6)
+    cases = [(chain_model(4, foot_links=[3]), tip)] + [
+        (m, rng.uniform(-1, 1, (m.nb, 6))) for m in (load_scene("fourleg")[0], fixed_joint_tree())
+    ]
+    for m, wrenches in cases:
+        q = random_config(m, rng)
+        D = applied_wrench_q_derivative(m, compute_kinematics(m, q), wrenches)
+
+        def tau(dq):
+            kin = compute_kinematics(m, integrate(m, q, dq))
+            return sum(body_jacobian_world(m, kin, b).T @ wrenches[b] for b in range(m.nb))
+
+        for k in range(m.nv):
+            e = np.zeros(m.nv)
+            e[k] = eps
+            np.testing.assert_allclose(D[:, k], (tau(e) - tau(-e)) / (2 * eps), atol=2e-5)
 
 
 def test_potential_energy_gradient_is_gravity_force():

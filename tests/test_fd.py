@@ -17,6 +17,7 @@ from diffcontact.model import difference
 from diffcontact.simulator import (
     SimState,
     reset_step_count,
+    rollout_jacobian,
     step,
     step_call_count,
 )
@@ -149,6 +150,24 @@ def test_fd_rollout_shapes_and_free_flight_value():
 
     with pytest.raises(ValueError):
         fd_rollout_jacobian(model, state, horizon=1, params=params, theta="x")
+
+
+@pytest.mark.parametrize("kwargs", [dict(theta="mu", mu_pair=-1),
+                                    dict(theta="mu", mu_pair=99), dict(theta="x")])
+def test_fd_rollout_validates_theta_before_any_rollout(monkeypatch, kwargs):
+    """A bad theta or mu_pair raises rollout_jacobian's ValueError before a
+    single step is taken."""
+    model, state, params = load_scene("cube_slide")
+    with pytest.raises(ValueError) as expected:
+        rollout_jacobian(model, state, None, horizon=2, params=params, **kwargs)
+
+    def no_rollout(*args, **kw):
+        raise AssertionError("rolled out before validating theta")
+
+    monkeypatch.setattr("diffcontact.fd.rollout", no_rollout)
+    with pytest.raises(ValueError) as got:
+        fd_rollout_jacobian(model, state, horizon=2, params=params, **kwargs)
+    assert str(got.value) == str(expected.value)
 
 
 def test_fd_rollout_tau0_scaling():

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import cube_model, cube_state, sphere_model, tight_params
-from diffcontact import derivatives
+from diffcontact import derivatives, simulator
 from diffcontact.cli import load_scene
 from diffcontact.contact import Mode
 from diffcontact.derivatives import step_jacobian
@@ -240,6 +240,18 @@ def test_rollout_jacobian_rejects_unknown_theta():
     model, state, params = load_scene("cube_slide")
     with pytest.raises(ValueError):
         rollout_jacobian(model, state, None, horizon=2, params=params, theta="x")
+
+
+@pytest.mark.parametrize("mu_pair", [-1, 99])
+def test_rollout_jacobian_rejects_bad_mu_pair_before_rolling_out(monkeypatch, mu_pair):
+    def no_rollout(*args, **kwargs):
+        raise AssertionError("rolled out before validating mu_pair")
+
+    monkeypatch.setattr(simulator, "rollout", no_rollout)
+    model, state, params = load_scene("cube_slide")
+    with pytest.raises(ValueError, match="mu_pair"):
+        rollout_jacobian(model, state, None, horizon=2, params=params, theta="mu",
+                         mu_pair=mu_pair)
 
 
 def test_rollout_final_state_matches_stepwise():
