@@ -44,6 +44,13 @@ from .model import (
 from .spatial import adjoint_inverse, motion_cross, p_operator
 
 
+# Relative cutoff on the reduced system A: the QR rank test flags the active
+# set as redundant when a diagonal entry of R falls below it, and the least
+# squares solve then drops the singular values below it, so round-off in a
+# redundant direction is never inverted.
+_RANK_RTOL = 1e-12
+
+
 class SingularSlidingMode(ValueError):
     pass
 
@@ -120,7 +127,7 @@ def assemble_reduced_system(problem: ContactProblem, solution: ContactSolution) 
     A = B @ problem.G @ C + np.diag(Q[:off])
     factors = qr(A)
     diag = np.abs(np.diag(factors[1]))
-    deficient = bool(diag.min(initial=np.inf) <= 1e-12 * max(diag.max(initial=0.0), 1e-300))
+    deficient = bool(diag.min(initial=np.inf) <= _RANK_RTOL * max(diag.max(initial=0.0), 1e-300))
     return ReducedSystem(A=A, B=B, C=C, QR=factors, deficient=deficient)
 
 
@@ -131,7 +138,7 @@ def solve_reduced(rs: ReducedSystem, rhs: np.ndarray):
     dlambda itself is not."""
     reduced = -(rs.B @ rhs)
     if rs.deficient:
-        X = np.linalg.lstsq(rs.A, reduced, rcond=None)[0]
+        X = np.linalg.lstsq(rs.A, reduced, rcond=_RANK_RTOL)[0]
     else:
         Q, R = rs.QR
         X = solve_triangular(R, Q.T @ reduced)
@@ -253,7 +260,7 @@ def _frozen_impulse_rhs(model, state, params, result, smooth):
 
     dvp = {}
     if "q" in smooth or "v" in smooth:
-        dID_q, dID_v = id_state_derivatives(model, kin, dyn.inertias_world, v, (v_plus - v) / dt)
+        dID_q, dID_v = id_state_derivatives(model, dyn, (v_plus - v) / dt)
     if "q" in smooth:
         dvp["q"] = -dt * dyn.solve(dID_q)
         if contacts:

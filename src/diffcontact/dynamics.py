@@ -92,13 +92,19 @@ def inverse_dynamics(model: KinematicModel, q, v, a) -> np.ndarray:
 
 @dataclass
 class DynamicsData:
-    """Per-step dense dynamics workspace: factorized mass matrix and bias."""
+    """Per-step dense dynamics workspace: factorized mass matrix and bias,
+    and the stacked body terms of model._body_terms at (kin, v) that built
+    them, which id_state_derivatives reuses."""
 
     kin: Kinematics
     inertias_world: np.ndarray
     M: np.ndarray
     bias: np.ndarray
     _chol: tuple
+    J: np.ndarray      # (nb, 6, nv) body Jacobians
+    V: np.ndarray      # (nb, 6) body twists
+    Vp: np.ndarray     # (nb, 6) parent twists, zero at a root
+    Xi: np.ndarray     # (nb, 6) velocity-product accelerations
 
     def solve(self, X: np.ndarray) -> np.ndarray:
         """M^-1 X via the cached Cholesky factor."""
@@ -109,16 +115,17 @@ def compute_dynamics(model: KinematicModel, kin: Kinematics, v: np.ndarray) -> D
     """M = sum_i J_i^T I_i J_i and the bias b (inverse dynamics at a = 0),
     each one product over the stacked body rows."""
     Iw = spatial_inertias_world(model, kin)
-    J, _, V, _, Xi = _body_terms(model, kin, v)
+    J, _, V, Vp, Xi = _body_terms(model, kin, v)
     Jt = _rows(J).T
     M = Jt @ _rows(Iw @ J)
     b = Jt @ _body_wrenches(Iw, V, Xi + _gravity_offset(model)).ravel()
-    return DynamicsData(kin, Iw, M, b, cho_factor(M, lower=True))
+    return DynamicsData(kin, Iw, M, b, cho_factor(M, lower=True), J, V, Vp, Xi)
 
 
-def id_state_derivatives(model: KinematicModel, kin: Kinematics, Iw, v, a):
+def id_state_derivatives(model: KinematicModel, dyn: DynamicsData, a):
     """Analytic partials of inverse_dynamics w.r.t. the tangent of q and
-    w.r.t. v, at fixed a.
+    w.r.t. v, at fixed a, at the state (dyn.kin, v) that compute_dynamics
+    built dyn for; its inertias and body terms are reused.
 
     Every body term is built from the world axes psi; perturbing tangent
     column k transports psi_j, the body velocity twists and the world
@@ -127,7 +134,8 @@ def id_state_derivatives(model: KinematicModel, kin: Kinematics, Iw, v, a):
     products, and every cross product with a column stack is one ad or P
     operator product."""
     nb, nv = model.nb, model.nv
-    J, _, V, Vp, Xi = _body_terms(model, kin, v)
+    kin, Iw = dyn.kin, dyn.inertias_world
+    J, V, Vp, Xi = dyn.J, dyn.V, dyn.Vp, dyn.Xi
     dJv = _jv_q(model, kin, V, Vp)
     _, A, Ap = _body_twists(model, kin, a)
     dJa = _jv_q(model, kin, A, Ap)
@@ -170,9 +178,7 @@ def kinetic_energy(model: KinematicModel, q, v) -> float:
 
 
 def potential_energy(model: KinematicModel, q) -> float:
+    """-sum_i m_i g . c_i over the world centers of mass c_i = R_i com_i + p_i."""
     kin = compute_kinematics(model, q)
-    pe = 0.0
-    for i, ine in enumerate(model.inertias):
-        com_w = kin.body_rotations[i] @ ine.com + kin.body_translations[i]
-        pe -= ine.mass * float(model.gravity @ com_w)
-    return pe
+    com_w = (kin.body_rotations @ model._com[:, :, None])[:, :, 0] + kin.body_translations
+    return -float(model._mass @ (com_w @ model.gravity))

@@ -9,6 +9,19 @@ Bodies and joints are 1:1; joint i connects body parent(i) (or the world,
 parent = -1) to body i. Models are immutable after construction and all
 kinematics functions are read-only, so concurrent evaluation on shared
 models is safe.
+
+Layout: nothing in the forward kinematics loops over joints. The model
+stacks, once, the joint mounting placements, the per-kind body and q
+indices, the revolute skew axes K and K^2, the local motion subspace of
+every tangent column, and a pointer-jumping schedule: a list of
+(dst, src) body indices, one pair per round, with src the body 2^r joints
+above dst in round r. compute_kinematics builds every local transform in
+one stacked pass per joint kind, then composes them down the tree in
+ceil(log2 depth) rounds of T[dst] = T[src] T[dst] (a 48-joint chain takes
+6 rounds). Index sets that are consecutive, as on a chain, are stored as
+slices, so those reads and writes are views. integrate adds the revolute
+and prismatic coordinates with one indexed add; only free joints take the
+SE(3) exponential, one by one.
 """
 from __future__ import annotations
 
@@ -18,8 +31,6 @@ import numpy as np
 
 from .spatial import (
     Placement,
-    _cross,
-    adjoint,
     adjoint_inverse,
     motion_cross,
     motion_cross_cols,
@@ -29,12 +40,30 @@ from .spatial import (
     se3_log,
     se3_right_jacobian,
     se3_right_jacobian_inverse,
-    so3_exp,
+    skew,
     spatial_inertia_local,
 )
 
+_EYE3 = np.eye(3)
 _JOINT_NQ = {"free": 7, "revolute": 1, "prismatic": 1, "fixed": 0}
 _JOINT_NV = {"free": 6, "revolute": 1, "prismatic": 1, "fixed": 0}
+
+
+def _index(indices):
+    """Index for a set of rows: a slice when they are consecutive, which
+    numpy reads and writes as a view, else the integer array."""
+    idx = np.asarray(indices, dtype=int)
+    if idx.size == 0 or np.array_equal(idx, np.arange(idx[0], idx[0] + idx.size)):
+        start = int(idx[0]) if idx.size else 0
+        return slice(start, start + idx.size)
+    return idx
+
+
+def _stack_placements(placements):
+    """Rotations (n, 3, 3) and translations (n, 3) of a sequence of placements."""
+    placements = list(placements)
+    return (np.array([m.rotation for m in placements], dtype=float).reshape(-1, 3, 3),
+            np.array([m.translation for m in placements], dtype=float).reshape(-1, 3))
 
 
 @dataclass(frozen=True)
@@ -126,12 +155,66 @@ class KinematicModel:
         self._inertia_local = np.array(
             [spatial_inertia_local(b.mass, b.com, b.inertia) for b in self.inertias]
         ).reshape(self.nb, 6, 6)
+        self._mass = np.array([b.mass for b in self.inertias], dtype=float)
+        self._com = np.array([b.com for b in self.inertias], dtype=float).reshape(self.nb, 3)
+        self._stack_joints()
 
         if actuated is None:
             actuated = list(range(self.nv))
         self.actuated = list(actuated)
         if any(a < 0 or a >= self.nv for a in self.actuated):
             raise ValueError("actuated indices out of range")
+
+    def _stack_joints(self):
+        """Stacked joint data for compute_kinematics and integrate, built once:
+        mounting placements, per-kind body and q indices, axes, the local
+        motion subspace of every tangent column, the jump schedule and the
+        body-attached geometry placements."""
+        self._mount_rot, self._mount_trans = _stack_placements(j.placement for j in self.joints)
+
+        def of_kind(kind):
+            return np.array([i for i, j in enumerate(self.joints) if j.kind == kind], dtype=int)
+
+        def axes(bodies):
+            return np.array([self.joints[i].axis for i in bodies], dtype=float).reshape(-1, 3)
+
+        rev, pri, free = of_kind("revolute"), of_kind("prismatic"), of_kind("free")
+        self._rev, self._pri, self._free = _index(rev), _index(pri), _index(free)
+        self._free_bodies = free
+        self._rev_q, self._pri_q = self.q_offsets[rev], self.q_offsets[pri]
+        self._free_q = self.q_offsets[free][:, None] + np.arange(7)
+        self._scalar_q = _index(np.concatenate([self._rev_q, self._pri_q]))
+        self._scalar_v = _index(self.v_offsets[np.concatenate([rev, pri])])
+        # Revolute: exp(q K) = I + sin(q) K + (1 - cos(q)) K^2 with K = skew(axis).
+        self._rev_K = skew(axes(rev))
+        self._rev_K2 = self._rev_K @ self._rev_K
+        # Prismatic: the local offset moves along the axis seen in the parent frame.
+        self._pri_mount_axis = (self._mount_rot[pri] @ axes(pri)[:, :, None])[:, :, 0]
+        # Local motion subspace of each tangent column, (angular, linear):
+        # (a, 0) revolute, (0, a) prismatic, the unit twists of a free joint.
+        # psi[:, k] is the adjoint of its body's placement applied to it.
+        subspace = np.zeros((self.nv, 6))
+        subspace[self.v_offsets[rev], :3] = axes(rev)
+        subspace[self.v_offsets[pri], 3:] = axes(pri)
+        free_cols = (self.v_offsets[free][:, None] + np.arange(6)).ravel()
+        subspace[free_cols] = np.tile(np.eye(6), (free.size, 1))
+        self._subspace = subspace[:, :, None]
+        self._col_body = _index(self.body_of_col)
+
+        # Pointer jumping: after round r, T[i] is the product of the 2^r local
+        # transforms ending at i, and jump[i] the body above them (-1 past the
+        # root). A round composes T[dst] = T[src] T[dst] with src = jump[dst].
+        self._jumps = []
+        jump = self.parents.copy()
+        while (jump >= 0).any():
+            dst = np.flatnonzero(jump >= 0)
+            self._jumps.append((_index(dst), _index(jump[dst])))
+            jump[dst] = jump[jump[dst]]
+
+        self._geom_att = [k for k, g in enumerate(self.geometries) if g.body >= 0]
+        attached = [self.geometries[k] for k in self._geom_att]
+        self._geom_body = _index([g.body for g in attached])
+        self._geom_rot, self._geom_trans = _stack_placements(g.placement for g in attached)
 
     def _validate_structure(self):
         if len(self.inertias) != self.nb:
@@ -204,66 +287,65 @@ class Kinematics:
 
 
 def compute_kinematics(model: KinematicModel, q: np.ndarray) -> Kinematics:
-    """Forward kinematics: body placements and world joint axes."""
+    """Forward kinematics: body placements, world joint axes and geometry
+    placements, in one stacked pass with no loop over joints.
+
+    Local transforms (mount, then joint motion) are built per joint kind:
+    batched Rodrigues I + sin(q) K + (1 - cos(q)) K^2 for revolute joints,
+    an offset along the axis for prismatic ones, quat_to_rotation for free
+    ones, the mount alone for fixed ones. Pointer jumping composes them in
+    ceil(log2 depth) rounds of T[dst] = T[src] T[dst] over the model's jump
+    schedule. psi applies each body's adjoint to the local motion subspace
+    of its columns; a revolute column is (R_i a_i, p_i x R_i a_i), as the
+    joint rotation fixes its own axis."""
     if q.shape != (model.nq,):
         raise ValueError(f"configuration must have shape ({model.nq},)")
-    nb = model.nb
-    R = np.empty((nb, 3, 3))
-    p = np.empty((nb, 3))
-    psi = np.zeros((6, model.nv))
-    for i, joint in enumerate(model.joints):
-        par = joint.parent
-        if par >= 0:
-            Rx = R[par] @ joint.placement.rotation
-            px = R[par] @ joint.placement.translation + p[par]
-        else:
-            Rx = joint.placement.rotation
-            px = joint.placement.translation
-        qi = q[model.q_slice(i)]
-        c0 = int(model.v_offsets[i])
-        if joint.kind == "revolute":
-            axis_w = Rx @ joint.axis
-            R[i] = Rx @ so3_exp(joint.axis * qi[0])
-            p[i] = px
-            psi[:3, c0] = axis_w
-            psi[3:, c0] = _cross(px, axis_w)
-        elif joint.kind == "prismatic":
-            axis_w = Rx @ joint.axis
-            R[i] = Rx
-            p[i] = px + axis_w * qi[0]
-            psi[3:, c0] = axis_w
-        elif joint.kind == "free":
-            R[i] = Rx @ quat_to_rotation(qi[3:])
-            p[i] = Rx @ qi[:3] + px
-            psi[:, c0 : c0 + 6] = adjoint(Placement(R[i], p[i]))
-        else:  # fixed
-            R[i], p[i] = Rx, px
-    geom_placements = []
-    for g in model.geometries:
-        if g.body < 0:
-            geom_placements.append(g.placement)
-        else:
-            geom_placements.append(
-                Placement(R[g.body], p[g.body]).compose(g.placement)
-            )
+    R, p = model._mount_rot.copy(), model._mount_trans.copy()
+    if model._rev_q.size:
+        th = q[model._rev_q][:, None, None]
+        R[model._rev] = R[model._rev] @ (_EYE3 + np.sin(th) * model._rev_K
+                                         + (1.0 - np.cos(th)) * model._rev_K2)
+    if model._pri_q.size:
+        p[model._pri] += model._pri_mount_axis * q[model._pri_q][:, None]
+    if model._free_q.size:
+        qf = q[model._free_q]
+        Rf = R[model._free]
+        p[model._free] += (Rf @ qf[:, :3, None])[:, :, 0]
+        R[model._free] = Rf @ quat_to_rotation(qf[:, 3:])
+    for dst, src in model._jumps:
+        Rs = R[src]
+        p[dst] = (Rs @ p[dst, :, None])[:, :, 0] + p[src]
+        R[dst] = Rs @ R[dst]
+
+    X = np.zeros((model.nb, 6, 6))  # adjoint of every body placement
+    X[:, :3, :3] = X[:, 3:, 3:] = R
+    X[:, 3:, :3] = skew(p) @ R
+    psi = np.ascontiguousarray((X[model._col_body] @ model._subspace)[:, :, 0].T)
+
+    geom_placements = [g.placement for g in model.geometries]
+    if model._geom_att:
+        Rb = R[model._geom_body]
+        Rg = Rb @ model._geom_rot
+        pg = (Rb @ model._geom_trans[:, :, None])[:, :, 0] + p[model._geom_body]
+        for k, Rk, pk in zip(model._geom_att, Rg, pg):
+            geom_placements[k] = Placement(Rk, pk)
     return Kinematics(q, R, p, psi, geom_placements)
 
 
 def integrate(model: KinematicModel, q: np.ndarray, dq: np.ndarray) -> np.ndarray:
-    """Configuration update q (+) dq; free-joint blocks compose with the
-    SE(3) exponential of the body-frame twist."""
+    """Configuration update q (+) dq: one indexed add on the revolute and
+    prismatic coordinates; free-joint blocks compose with the SE(3)
+    exponential of the body-frame twist."""
     if q.shape != (model.nq,) or dq.shape != (model.nv,):
         raise ValueError("integrate: dimension mismatch")
     out = q.copy()
-    for i, joint in enumerate(model.joints):
+    out[model._scalar_q] = q[model._scalar_q] + dq[model._scalar_v]
+    for i in model._free_bodies:
         qs, vs = model.q_slice(i), model.v_slice(i)
-        if joint.kind in ("revolute", "prismatic"):
-            out[qs] = q[qs] + dq[vs]
-        elif joint.kind == "free":
-            M = Placement(quat_to_rotation(q[qs][3:]), q[qs][:3])
-            M2 = M.compose(se3_exp(dq[vs]))
-            out[qs.start : qs.start + 3] = M2.translation
-            out[qs.start + 3 : qs.stop] = rotation_to_quat(M2.rotation)
+        M = Placement(quat_to_rotation(q[qs][3:]), q[qs][:3])
+        M2 = M.compose(se3_exp(dq[vs]))
+        out[qs.start : qs.start + 3] = M2.translation
+        out[qs.start + 3 : qs.stop] = rotation_to_quat(M2.rotation)
     return out
 
 
@@ -272,14 +354,12 @@ def difference(model: KinematicModel, q0: np.ndarray, q1: np.ndarray) -> np.ndar
     if q0.shape != (model.nq,) or q1.shape != (model.nq,):
         raise ValueError("difference: dimension mismatch")
     out = np.zeros(model.nv)
-    for i, joint in enumerate(model.joints):
+    out[model._scalar_v] = q1[model._scalar_q] - q0[model._scalar_q]
+    for i in model._free_bodies:
         qs, vs = model.q_slice(i), model.v_slice(i)
-        if joint.kind in ("revolute", "prismatic"):
-            out[vs] = q1[qs] - q0[qs]
-        elif joint.kind == "free":
-            M0 = Placement(quat_to_rotation(q0[qs][3:]), q0[qs][:3])
-            M1 = Placement(quat_to_rotation(q1[qs][3:]), q1[qs][:3])
-            out[vs] = se3_log(M0.inverse().compose(M1))
+        M0 = Placement(quat_to_rotation(q0[qs][3:]), q0[qs][:3])
+        M1 = Placement(quat_to_rotation(q1[qs][3:]), q1[qs][:3])
+        out[vs] = se3_log(M0.inverse().compose(M1))
     return out
 
 
@@ -290,25 +370,23 @@ def integrate_jacobians(model: KinematicModel, q, dq):
     at the result."""
     Dq = np.eye(model.nv)
     Dd = np.eye(model.nv)
-    for i, joint in enumerate(model.joints):
-        if joint.kind == "free":
-            vs = model.v_slice(i)
-            delta = dq[vs]
-            Dq[vs, vs] = adjoint_inverse(se3_exp(delta))
-            Dd[vs, vs] = se3_right_jacobian(delta)
+    for i in model._free_bodies:
+        vs = model.v_slice(i)
+        delta = dq[vs]
+        Dq[vs, vs] = adjoint_inverse(se3_exp(delta))
+        Dd[vs, vs] = se3_right_jacobian(delta)
     return Dq, Dd
 
 
 def difference_jacobian(model: KinematicModel, q0, q1) -> np.ndarray:
     """Partial of difference(q0, q1) w.r.t. the tangent of q1."""
     D = np.eye(model.nv)
-    for i, joint in enumerate(model.joints):
-        if joint.kind == "free":
-            qs, vs = model.q_slice(i), model.v_slice(i)
-            M0 = Placement(quat_to_rotation(q0[qs][3:]), q0[qs][:3])
-            M1 = Placement(quat_to_rotation(q1[qs][3:]), q1[qs][:3])
-            r = se3_log(M0.inverse().compose(M1))
-            D[vs, vs] = se3_right_jacobian_inverse(r)
+    for i in model._free_bodies:
+        qs, vs = model.q_slice(i), model.v_slice(i)
+        M0 = Placement(quat_to_rotation(q0[qs][3:]), q0[qs][:3])
+        M1 = Placement(quat_to_rotation(q1[qs][3:]), q1[qs][:3])
+        r = se3_log(M0.inverse().compose(M1))
+        D[vs, vs] = se3_right_jacobian_inverse(r)
     return D
 
 

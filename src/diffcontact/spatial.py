@@ -222,16 +222,32 @@ def se3_right_jacobian_inverse(xi: np.ndarray) -> np.ndarray:
     return np.linalg.inv(se3_right_jacobian(xi))
 
 
+def _quat_basis() -> np.ndarray:
+    """(16, 9) map from the flattened outer product q q^T of a quaternion
+    q = (v, w) to R - I = 2 w [v]x + 2 (v v^T - |v|^2 I), entry by entry."""
+    basis, eye = np.zeros((4, 4, 3, 3)), np.eye(3)
+    for a in range(3):
+        basis[a, a] -= 2.0 * eye
+        basis[a, 3] += 2.0 * skew(eye[a])
+        for b in range(3):
+            basis[a, b, a, b] += 2.0
+    return basis.reshape(16, 9)
+
+
+# Each entry of R - I has two terms +-2 q_a q_b (the |v|^2 terms cancel on
+# the diagonal). The product with this basis rounds their sum once, and
+# adding I rounds once more, exactly as the explicit formula 1 - 2 (y y +
+# z z), 2 (x y - z w), ... does, so the result is bit-identical to it.
+_QUAT_BASIS = _quat_basis()
+_EYE3_FLAT = np.eye(3).ravel()
+
+
 def quat_to_rotation(q: np.ndarray) -> np.ndarray:
-    """Unit quaternion (x, y, z, w) to rotation matrix."""
-    x, y, z, w = q
-    return np.array(
-        [
-            [1 - 2 * (y * y + z * z), 2 * (x * y - z * w), 2 * (x * z + y * w)],
-            [2 * (x * y + z * w), 1 - 2 * (x * x + z * z), 2 * (y * z - x * w)],
-            [2 * (x * z - y * w), 2 * (y * z + x * w), 1 - 2 * (x * x + y * y)],
-        ]
-    )
+    """Unit quaternion (x, y, z, w) to rotation matrix; stacked for q of
+    shape (..., 4)."""
+    q = np.asarray(q, dtype=float)
+    qq = (q[..., :, None] * q[..., None, :]).reshape(q.shape[:-1] + (16,))
+    return (_EYE3_FLAT + qq @ _QUAT_BASIS).reshape(q.shape[:-1] + (3, 3))
 
 
 def rotation_to_quat(R: np.ndarray) -> np.ndarray:

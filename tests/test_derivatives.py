@@ -1,5 +1,7 @@
 """Analytic step derivatives against finite differences across contact
 modes, plus unit checks on the mode-reduced linear system."""
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.linalg import qr
@@ -37,6 +39,7 @@ from diffcontact.model import (
     KinematicModel,
     compute_kinematics,
     integrate,
+    integrate_jacobians,
 )
 from diffcontact.simulator import SimState, contact_jacobian, detect_contacts, step
 from diffcontact.spatial import Placement
@@ -490,6 +493,42 @@ def test_solve_reduced_flags_redundant_active_set():
     assert deficient
     # rhs lies in range(G): the least-squares solution still solves exactly
     np.testing.assert_allclose(G @ dlam, -rhs, atol=1e-9)
+
+
+def test_redundant_sticking_set_matches_pseudoinverse_closed_form():
+    # fourleg standing on four sticking feet: G has 7 significant singular
+    # values, and the 8th is round-off (6.6e-17, 2.3e-14, 4.4e-13 of the
+    # largest on these three steps). All sticking, lambda = -G^+ g, so
+    # v+ = v_free - M^-1 J_c^T G^+ (J_c v_free + c) with c fixed by q:
+    # dv+ = P dv_free, P = I - M^-1 J_c^T G^+ J_c, with no PGS involved.
+    # Inverting the round-off value instead moves dv["v"] by 100%.
+    model, state, params = load_scene("fourleg")
+    params = dataclasses.replace(params, ncp_tol=1e-9)
+    gen = np.random.default_rng(0)
+    dt, nv, warm = params.dt, model.nv, None
+    for _ in range(3):
+        tau = np.zeros(nv)
+        tau[6:] = gen.normal(0.0, 0.5, 4)
+        res = step(model, state, tau, params, warm_start=warm)
+        assert res.solution.converged
+        assert all(m is Mode.STICKING for m in res.solution.modes) and len(res.contacts) == 4
+        jac = step_jacobian(model, state, tau, params, res, theta=["v", "tau"])
+        assert jac.rank_deficient
+        dyn, Jc = res.dyn, res.J_c
+        P = np.eye(nv) - dyn.solve(Jc.T @ np.linalg.pinv(res.problem.G, rcond=1e-10) @ Jc)
+        # the bias is quadratic in v, so its central difference is exact
+        # up to round-off
+        db_dv = np.column_stack([
+            (compute_dynamics(model, dyn.kin, state.v + 1e-3 * e).bias
+             - compute_dynamics(model, dyn.kin, state.v - 1e-3 * e).bias) / 2e-3
+            for e in np.eye(nv)])
+        ref = {"v": P @ (np.eye(nv) - dt * dyn.solve(db_dv)),
+               "tau": P @ (dt * dyn.solve(np.eye(nv)))}
+        _, Dd = integrate_jacobians(model, state.q, dt * res.state.v)
+        for t, dv in ref.items():
+            for got, want in ((jac.dv[t], dv), (jac.dq[t], dt * Dd @ dv)):
+                assert np.abs(got - want).max() <= 1e-9 * max(1.0, np.abs(want).max()), t
+        state, warm = res.state, res.warm_start()
 
 
 # -- frozen-impulse rhs and frame-variation corrections ----------------------

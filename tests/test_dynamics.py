@@ -196,9 +196,7 @@ def test_id_state_derivatives_match_fd():
         q = random_config(m, rng)
         v = rng.uniform(-1, 1, m.nv)
         a = rng.uniform(-1, 1, m.nv)
-        kin = compute_kinematics(m, q)
-        Iw = spatial_inertias_world(m, kin)
-        dID_q, dID_v = id_state_derivatives(m, kin, Iw, v, a)
+        dID_q, dID_v = id_state_derivatives(m, dynamics_at(m, q, v), a)
         for k in range(m.nv):
             e = np.zeros(m.nv)
             e[k] = eps

@@ -7,8 +7,11 @@ import numpy as np
 import pytest
 
 from conftest import chain_model, cube_model, fixed_chain_no_contact, fixed_joint_tree, translation
-from diffcontact.cli import load_scene
+from diffcontact.cli import bundled_scenes, load_scene
+from diffcontact.collision import Sphere
 from diffcontact.model import (
+    BodyInertia,
+    Geometry,
     JointSpec,
     KinematicModel,
     body_jacobian_world,
@@ -19,7 +22,7 @@ from diffcontact.model import (
     integrate_jacobians,
     jv_q_derivatives,
 )
-from diffcontact.spatial import Placement, se3_exp
+from diffcontact.spatial import Placement, adjoint, quat_to_rotation, se3_exp, so3_exp
 
 rng = np.random.default_rng(11)
 
@@ -208,3 +211,96 @@ def test_selection_matrix_picks_actuated_rows():
     S = m2.selection_matrix()
     assert S.shape == (1, 7)
     np.testing.assert_array_equal(S[0], np.eye(7)[6])
+
+
+def reference_kinematics(m, q):
+    """Per-joint forward kinematics, parent before child: the composition
+    compute_kinematics must reproduce. Returns (R, p, psi, geometry
+    placements)."""
+    R, p, psi = np.zeros((m.nb, 3, 3)), np.zeros((m.nb, 3)), np.zeros((6, m.nv))
+    for i, joint in enumerate(m.joints):
+        mount = joint.placement
+        if joint.parent >= 0:
+            mount = Placement(R[joint.parent], p[joint.parent]).compose(mount)
+        qi, c = q[m.q_slice(i)], int(m.v_offsets[i])
+        if joint.kind == "revolute":
+            axis = mount.rotation @ joint.axis
+            world = mount.compose(Placement(so3_exp(joint.axis * qi[0]), np.zeros(3)))
+            psi[:3, c], psi[3:, c] = axis, np.cross(mount.translation, axis)
+        elif joint.kind == "prismatic":
+            world = mount.compose(Placement(np.eye(3), joint.axis * qi[0]))
+            psi[3:, c] = mount.rotation @ joint.axis
+        elif joint.kind == "free":
+            world = mount.compose(Placement(quat_to_rotation(qi[3:]), qi[:3]))
+            psi[:, c : c + 6] = adjoint(world)
+        else:
+            world = mount
+        R[i], p[i] = world.rotation, world.translation
+    geoms = [g.placement if g.body < 0 else Placement(R[g.body], p[g.body]).compose(g.placement)
+             for g in m.geometries]
+    return R, p, psi, geoms
+
+
+def branched_free_tree():
+    """Depth-8 tree with two branches off body 1 and free joints below the
+    root (bodies 3 and 10), so that jump rounds cross branch points and
+    free bodies; tilted mounts and body-attached geometry throughout."""
+    gen = np.random.default_rng(5)
+    spec = [("revolute", -1), ("prismatic", 0), ("revolute", 1), ("free", 2),
+            ("revolute", 3), ("fixed", 4), ("revolute", 5), ("prismatic", 6),
+            ("revolute", 1), ("prismatic", 8), ("free", 8), ("revolute", 10)]
+    joints = []
+    for kind, parent in spec:
+        mount = Placement(so3_exp(gen.uniform(-0.6, 0.6, 3)), gen.uniform(-0.3, 0.3, 3))
+        axis = gen.normal(size=3) if kind in ("revolute", "prismatic") else None
+        if axis is not None:
+            axis /= np.linalg.norm(axis)
+        joints.append(JointSpec(kind, parent, mount, axis))
+    inertias = [BodyInertia(0.5, np.array([0.05, 0.0, -0.02]), np.diag([0.002, 0.003, 0.004]))
+                for _ in spec]
+    geoms = [Geometry(b, Sphere(0.05),
+                      Placement(so3_exp(gen.uniform(-1, 1, 3)), gen.uniform(-0.2, 0.2, 3)))
+             for b in (0, 3, 5, 7, 11)]
+    geoms.insert(2, Geometry(-1, Sphere(0.2), translation([0.0, 0.0, -1.0])))
+    return KinematicModel(joints, inertias, geoms)
+
+
+def kinematics_oracle_models():
+    models = [load_scene(name)[0] for name in bundled_scenes()]
+    return models + [fixed_joint_tree(), chain_model(48, foot_links=[11, 23, 35, 47]),
+                     branched_free_tree()]
+
+
+def test_branched_free_tree_exercises_the_jump_schedule():
+    m = branched_free_tree()
+    assert len(m._jumps) == 3  # ceil(log2 8) rounds for the depth-8 path
+    assert set(m._free_bodies.tolist()) == {3, 10} and m.parents[3] >= 0
+
+
+def test_compute_kinematics_matches_per_joint_composition():
+    gen = np.random.default_rng(7)
+    for m in kinematics_oracle_models():
+        for _ in range(5):
+            q = random_config(m, gen)
+            kin = compute_kinematics(m, q)
+            R, p, psi, geoms = reference_kinematics(m, q)
+            pairs = [(kin.body_rotations, R), (kin.body_translations, p), (kin.psi, psi)]
+            pairs += [(a.rotation, b.rotation) for a, b in zip(kin.geom_placements, geoms)]
+            pairs += [(a.translation, b.translation) for a, b in zip(kin.geom_placements, geoms)]
+            assert len(kin.geom_placements) == len(m.geometries)
+            for got, ref in pairs:
+                assert got.shape == ref.shape
+                scale = max(1.0, float(np.abs(ref).max(initial=0.0)))
+                assert float(np.abs(got - ref).max(initial=0.0)) <= 1e-14 * scale, m.name
+
+
+def test_integrate_adds_scalar_coordinates_bit_for_bit():
+    gen = np.random.default_rng(8)
+    for m in kinematics_oracle_models():
+        scalar = [i for i, j in enumerate(m.joints) if j.kind in ("revolute", "prismatic")]
+        qcols = np.array([m.q_offsets[i] for i in scalar], dtype=int)
+        vcols = np.array([m.v_offsets[i] for i in scalar], dtype=int)
+        q = random_config(m, gen)
+        dq = gen.uniform(-0.5, 0.5, m.nv)
+        out = integrate(m, q, dq)
+        np.testing.assert_array_equal(out[qcols], q[qcols] + dq[vcols])

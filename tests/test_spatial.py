@@ -217,6 +217,24 @@ def test_quat_xyzw_convention():
     np.testing.assert_allclose(R @ np.array([1.0, 0, 0]), [0, 1, 0], atol=1e-12)
 
 
+def test_quat_to_rotation_stacks_bit_for_bit_with_explicit_formula():
+    gen = np.random.default_rng(12)
+    Q = gen.normal(size=(3, 40, 4))
+    Q[:, :5, gen.integers(4)] = 0.0
+    Q /= np.linalg.norm(Q, axis=-1, keepdims=True)
+    stacked = quat_to_rotation(Q)
+    assert stacked.shape == (3, 40, 3, 3)
+    for i in range(3):
+        for j in range(40):
+            x, y, z, w = Q[i, j]
+            explicit = np.array([
+                [1 - 2 * (y * y + z * z), 2 * (x * y - z * w), 2 * (x * z + y * w)],
+                [2 * (x * y + z * w), 1 - 2 * (x * x + z * z), 2 * (y * z - x * w)],
+                [2 * (x * z - y * w), 2 * (y * z + x * w), 1 - 2 * (x * x + y * y)]])
+            np.testing.assert_array_equal(stacked[i, j], explicit)
+            np.testing.assert_array_equal(quat_to_rotation(Q[i, j]), explicit)
+
+
 def test_right_jacobian_matches_fd_of_exp():
     # d/dt exp(xi + t delta) at t=0 equals exp(xi) * (Jr(xi) delta)^
     eps = 1e-6
