@@ -6,13 +6,15 @@ the contact normal, which points from geometry 2 toward geometry 1.
 Plane contacts are placed on the plane; sphere-sphere contacts at the
 midpoint of the two surface points.
 
-Derivatives of the contact data w.r.t. geometry placements are exact: the
-closed-form differential of (point, normal, distance, tangent basis) is
-applied to the six basis twists of each placement. Twists are body-local.
+frame_derivative differentiates a contact frame in closed form along the
+world twists of the two geometries, one column per joint-space direction:
+pass rows of the step's body Jacobians and it returns the frame's local
+twist and the signed-distance rate per tangent direction, with no second
+narrow-phase pass.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -81,15 +83,6 @@ class ContactFrame:
         return self.placement.translation.copy()
 
 
-@dataclass
-class CdDerivatives:
-    """Contact-frame local twist per unit local twist of each geometry
-    placement (6x6 each)."""
-
-    d_m1: np.ndarray
-    d_m2: np.ndarray
-
-
 _REF_SWITCH = 0.99
 
 
@@ -129,49 +122,23 @@ def _frame_rotation_differential(n, dn):
 
 @dataclass
 class _Record:
-    """Raw contact with world-frame differential maps over the 12 basis
-    twists (geometry 1 columns 0:6, geometry 2 columns 6:12)."""
+    """Raw contact before its frame is built."""
 
     point: np.ndarray
     normal: np.ndarray
     phi: float
     feature: int
     boundary: bool
-    dp: np.ndarray = None     # (3, 12)
-    dn: np.ndarray = None     # (3, 12)
-    dphi: np.ndarray = None   # (12,)
 
 
-def _basis_motions(M: Placement):
-    """World angular velocity and origin velocity for the six local basis
-    twists (angular first) of a placement."""
-    R = M.rotation
-    omega = np.zeros((3, 6))
-    dt = np.zeros((3, 6))
-    omega[:, :3] = R
-    dt[:, 3:] = R
-    return omega, dt
-
-
-def _records_sphere_halfspace(s: Sphere, h: Halfspace, M1, M2, derivatives):
+def _records_sphere_halfspace(s: Sphere, h: Halfspace, M1, M2):
     n = M2.rotation @ h.normal
     c = M1.translation
     phi = float(n @ (c - M2.translation) - h.offset - s.radius)
-    p = c - (phi + s.radius) * n
-    rec = _Record(p, n, phi, 0, False)
-    if derivatives:
-        w1, dt1 = _basis_motions(M1)
-        w2, dt2 = _basis_motions(M2)
-        dn = np.cross(w2.T, n).T  # (3, 6) from geometry 2 rotations
-        dn12 = np.hstack([np.zeros((3, 6)), dn])
-        rel = c - M2.translation
-        dphi = rel @ dn12 + n @ np.hstack([dt1, -dt2])
-        dp = np.hstack([dt1, np.zeros((3, 6))]) - np.outer(n, dphi) - (phi + s.radius) * dn12
-        rec.dp, rec.dn, rec.dphi = dp, dn12, dphi
-    return [rec]
+    return [_Record(c - (phi + s.radius) * n, n, phi, 0, False)]
 
 
-def _records_sphere_sphere(s1: Sphere, s2: Sphere, M1, M2, derivatives):
+def _records_sphere_sphere(s1: Sphere, s2: Sphere, M1, M2):
     d = M1.translation - M2.translation
     dist = float(np.linalg.norm(d))
     if dist < 1e-9:
@@ -179,19 +146,10 @@ def _records_sphere_sphere(s1: Sphere, s2: Sphere, M1, M2, derivatives):
     n = d / dist
     phi = dist - s1.radius - s2.radius
     p = 0.5 * (M1.translation + M2.translation) + 0.5 * (s2.radius - s1.radius) * n
-    rec = _Record(p, n, float(phi), 0, False)
-    if derivatives:
-        _, dt1 = _basis_motions(M1)
-        _, dt2 = _basis_motions(M2)
-        ddc = np.hstack([dt1, -dt2])  # d(c1 - c2)
-        dn = (ddc - np.outer(n, n @ ddc)) / dist
-        dphi = n @ ddc
-        dp = 0.5 * np.hstack([dt1, dt2]) + 0.5 * (s2.radius - s1.radius) * dn
-        rec.dp, rec.dn, rec.dphi = dp, dn, dphi
-    return [rec]
+    return [_Record(p, n, float(phi), 0, False)]
 
 
-def _records_box_halfspace(b: Box, h: Halfspace, M1, M2, margin, derivatives):
+def _records_box_halfspace(b: Box, h: Halfspace, M1, M2, margin):
     n = M2.rotation @ h.normal
     n_body = M1.rotation.T @ n
     order = np.argsort(-np.abs(n_body))
@@ -199,10 +157,6 @@ def _records_box_halfspace(b: Box, h: Halfspace, M1, M2, margin, derivatives):
     boundary = bool(abs(abs(n_body[order[0]]) - abs(n_body[order[1]])) < 1e-6)
     free = [a for a in range(3) if a != k_face]
     he = np.asarray(b.half_extents, dtype=float)
-    if derivatives:
-        w1, dt1 = _basis_motions(M1)
-        w2, dt2 = _basis_motions(M2)
-        dn = np.hstack([np.zeros((3, 6)), np.cross(w2.T, n).T])
     recs = []
     for sa in (-1.0, 1.0):
         for sb in (-1.0, 1.0):
@@ -210,31 +164,22 @@ def _records_box_halfspace(b: Box, h: Halfspace, M1, M2, margin, derivatives):
             x[k_face] = -np.sign(n_body[k_face]) * he[k_face]
             x[free[0]] = sa * he[free[0]]
             x[free[1]] = sb * he[free[1]]
-            arm = M1.rotation @ x
-            w = M1.translation + arm
+            w = M1.translation + M1.rotation @ x
             phi = float(n @ (w - M2.translation) - h.offset)
             if phi > margin:
                 continue
             feature = int((x[0] > 0) + 2 * (x[1] > 0) + 4 * (x[2] > 0))
-            rec = _Record(w - phi * n, n, phi, feature, boundary)
-            if derivatives:
-                dw = np.hstack([dt1 + np.cross(w1.T, arm).T, np.zeros((3, 6))])
-                rel = w - M2.translation
-                dphi = rel @ dn + n @ (dw - np.hstack([np.zeros((3, 6)), dt2]))
-                rec.dp = dw - np.outer(n, dphi) - phi * dn
-                rec.dn = dn
-                rec.dphi = dphi
-            recs.append(rec)
+            recs.append(_Record(w - phi * n, n, phi, feature, boundary))
     return recs
 
 
-def _contact_records(shape1, shape2, M1, M2, margin, derivatives):
+def _contact_records(shape1, shape2, M1, M2, margin):
     if isinstance(shape1, Sphere) and isinstance(shape2, Halfspace):
-        recs = _records_sphere_halfspace(shape1, shape2, M1, M2, derivatives)
+        recs = _records_sphere_halfspace(shape1, shape2, M1, M2)
     elif isinstance(shape1, Sphere) and isinstance(shape2, Sphere):
-        recs = _records_sphere_sphere(shape1, shape2, M1, M2, derivatives)
+        recs = _records_sphere_sphere(shape1, shape2, M1, M2)
     elif isinstance(shape1, Box) and isinstance(shape2, Halfspace):
-        return _records_box_halfspace(shape1, shape2, M1, M2, margin, derivatives)
+        return _records_box_halfspace(shape1, shape2, M1, M2, margin)
     else:
         raise UnsupportedCollisionPair(
             f"no narrow phase for ({type(shape1).__name__}, {type(shape2).__name__}); "
@@ -253,7 +198,7 @@ def pair_supported(shape1, shape2) -> bool:
 def narrow_phase(shape1, shape2, M1: Placement, M2: Placement, margin: float = 1e-4):
     """Contact frames between two geometries, at most margin above touch."""
     frames = []
-    for rec in _contact_records(shape1, shape2, M1, M2, margin, derivatives=False):
+    for rec in _contact_records(shape1, shape2, M1, M2, margin):
         frames.append(
             ContactFrame(
                 placement=Placement(frame_from_normal(rec.normal), rec.point),
@@ -265,31 +210,35 @@ def narrow_phase(shape1, shape2, M1: Placement, M2: Placement, margin: float = 1
     return frames
 
 
-def _match_record(records, frame: ContactFrame):
-    for rec in records:
-        if rec.feature == frame.feature:
-            return rec
-    raise ValueError("contact frame does not match any current contact feature")
+def _point_velocity(T: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Velocity of the point x moving with world twist columns T (6, m)."""
+    return T[3:] - skew(x) @ T[:3]
 
 
-def _cd_from_record(rec: _Record, frame: ContactFrame) -> CdDerivatives:
+def frame_derivative(shape1, shape2, M1: Placement, M2: Placement, frame: ContactFrame,
+                     T1: np.ndarray, T2: np.ndarray):
+    """Differential of a narrow_phase contact frame along world twist columns
+    T1, T2 (6, m) of the two geometries (zero for a static one).
+
+    Returns dM (6, m), the frame's local twist (angular first), and dphi
+    (m,), the signed-distance rate. A halfspace contact lies below the
+    anchor a = p + (phi + s) n on geometry 1 (s the sphere radius, or 0 at a
+    box corner); the normal turns with geometry 2, dn = -skew(n) T2[:3]."""
     R_c = frame.placement.rotation
-    w = _frame_rotation_differential(rec.normal, rec.dn)
-    out = np.vstack([R_c.T @ w, R_c.T @ rec.dp])
-    return CdDerivatives(d_m1=out[:, :6], d_m2=out[:, 6:])
-
-
-def cd_derivatives(shape1, shape2, M1, M2, frame: ContactFrame, margin: float = 1e-4) -> CdDerivatives:
-    """Differential of the contact-frame placement w.r.t. both geometry
-    placements, all in body-local twist coordinates."""
-    recs = _contact_records(shape1, shape2, M1, M2, margin, derivatives=True)
-    return _cd_from_record(_match_record(recs, frame), frame)
-
-
-def signed_distance_derivative(shape1, shape2, M1, M2, margin: float = 1e-4) -> np.ndarray:
-    """Rows of d(signed distance)/d(local twists of M1, M2), one per
-    contact, aligned with narrow_phase order."""
-    recs = _contact_records(shape1, shape2, M1, M2, margin, derivatives=True)
-    if not recs:
-        return np.zeros((0, 12))
-    return np.stack([rec.dphi for rec in recs], axis=0)
+    n = R_c[:, 2]
+    if isinstance(shape2, Sphere):
+        c1, c2 = M1.translation, M2.translation
+        v1, v2 = _point_velocity(T1, c1), _point_velocity(T2, c2)
+        dd = v1 - v2
+        dn = (dd - np.outer(n, n @ dd)) / float(np.linalg.norm(c1 - c2))
+        dphi = n @ dd
+        dp = 0.5 * (v1 + v2) + 0.5 * (shape2.radius - shape1.radius) * dn
+    else:
+        depth = frame.signed_distance + (shape1.radius if isinstance(shape1, Sphere) else 0.0)
+        a = frame.placement.translation + depth * n
+        va = _point_velocity(T1, a)
+        dn = -skew(n) @ T2[:3]
+        dphi = n @ (va - _point_velocity(T2, a))
+        dp = va - np.outer(n, dphi) - depth * dn
+    w = _frame_rotation_differential(n, dn)
+    return np.vstack([R_c.T @ w, R_c.T @ dp]), dphi

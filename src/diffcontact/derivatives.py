@@ -17,8 +17,8 @@ the sliding cone at fixed sigma, and p is added back to the solved dlambda.
 The right-hand side rhs = dG lambda + dg is the derivative of the contact
 velocity at frozen impulse; it collects the smooth-dynamics partials, the
 kinematic variation of the contact Jacobian at a fixed frame, the
-contact-frame variation (from the collision derivatives), and the
-stabilization terms.
+contact-frame variation (collision.frame_derivative of the step's own
+frames along the rows of its body Jacobians), and the stabilization terms.
 """
 from __future__ import annotations
 
@@ -36,7 +36,6 @@ from .dynamics import (
 )
 from .model import (
     KinematicModel,
-    body_jacobian_world,
     compute_kinematics,  # noqa: F401  unused; the benchmark tracer patches this name
     integrate_jacobians,
     jv_q_derivatives,
@@ -149,41 +148,24 @@ def solve_reduced(rs: ReducedSystem, rhs: np.ndarray):
 class _ContactDiff:
     """Per-contact kinematic pack used by the correction terms."""
 
+    Xc_inv: np.ndarray    # (6, 6) inverse adjoint of the contact frame
     Jc6: np.ndarray       # (6, nv) relative twist Jacobian in the frame
-    dM: np.ndarray        # (6, nv) frame local twist per tangent: dm1 J1 + dm2 J2
+    dM: np.ndarray        # (6, nv) frame local twist per tangent
     dphi_dq: np.ndarray   # (nv,)
 
 
-def _contact_packs(model, kin, contacts, margin):
+def _contact_packs(model, dyn, contacts):
+    """One pack per contact frame of the step, differentiated along the
+    rows of the step's body Jacobians dyn.J; no narrow phase runs again."""
     packs = []
-    by_pair = {}
     for frame in contacts:
-        by_pair.setdefault(frame.pair, []).append(frame)
-    cd_cache = {}
-    for pair, frames in by_pair.items():
-        g1, g2 = model.geometries[pair[0]], model.geometries[pair[1]]
-        M1 = kin.geom_placements[pair[0]]
-        M2 = kin.geom_placements[pair[1]]
-        recs = co._contact_records(g1.shape, g2.shape, M1, M2, margin, derivatives=True)
-        for frame in frames:
-            rec = co._match_record(recs, frame)
-            cd_cache[(pair, frame.feature)] = (co._cd_from_record(rec, frame), rec.dphi)
-    for frame in contacts:
-        M1 = kin.geom_placements[frame.pair[0]]
-        M2 = kin.geom_placements[frame.pair[1]]
-        Mc = frame.placement
-        Jw1 = body_jacobian_world(model, kin, frame.body1)
-        Jw2 = body_jacobian_world(model, kin, frame.body2)
-        J1 = adjoint_inverse(M1) @ Jw1
-        J2 = adjoint_inverse(M2) @ Jw2
-        cd, dphi_row = cd_cache[(frame.pair, frame.feature)]
-        packs.append(
-            _ContactDiff(
-                Jc6=adjoint_inverse(Mc) @ (Jw1 - Jw2),
-                dM=cd.d_m1 @ J1 + cd.d_m2 @ J2,
-                dphi_dq=dphi_row[:6] @ J1 + dphi_row[6:] @ J2,
-            )
-        )
+        g1, g2 = frame.pair
+        T1, T2 = dyn.body_jacobian(frame.body1), dyn.body_jacobian(frame.body2)
+        dM, dphi = co.frame_derivative(
+            model.geometries[g1].shape, model.geometries[g2].shape,
+            dyn.kin.geom_placements[g1], dyn.kin.geom_placements[g2], frame, T1, T2)
+        Xc_inv = adjoint_inverse(frame.placement)
+        packs.append(_ContactDiff(Xc_inv=Xc_inv, Jc6=Xc_inv @ (T1 - T2), dM=dM, dphi_dq=dphi))
     return packs
 
 
@@ -256,7 +238,7 @@ def _frozen_impulse_rhs(model, state, params, result, smooth):
     v_plus = result.state.v
     contacts = result.contacts
     if "q" in smooth and contacts:
-        packs = _contact_packs(model, kin, contacts, params.contact_margin)
+        packs = _contact_packs(model, dyn, contacts)
 
     dvp = {}
     if "q" in smooth or "v" in smooth:
@@ -271,7 +253,7 @@ def _frozen_impulse_rhs(model, state, params, result, smooth):
             JTL = np.zeros((nv, nv))
             for i, (frame, pack) in enumerate(zip(contacts, packs)):
                 lam_c = lam[3 * i : 3 * i + 3]
-                phi_w = adjoint_inverse(frame.placement).T @ np.concatenate([np.zeros(3), lam_c])
+                phi_w = pack.Xc_inv.T @ np.concatenate([np.zeros(3), lam_c])
                 if frame.body1 >= 0:
                     wrenches[frame.body1] += phi_w
                 if frame.body2 >= 0:
@@ -291,15 +273,14 @@ def _frozen_impulse_rhs(model, state, params, result, smooth):
         if kd != 0.0:
             dJv_now, _ = jv_q_derivatives(model, kin, v)
         for i, (frame, pack) in enumerate(zip(contacts, packs)):
-            Xc_inv = adjoint_inverse(frame.placement)
             b1, b2 = frame.body1, frame.body2
             dJvd = (dJv_plus[b1] if b1 >= 0 else 0.0) - (dJv_plus[b2] if b2 >= 0 else 0.0)
-            rows = (Xc_inv @ dJvd)[3:] + collision_correction_jv(pack, v_plus)
+            rows = (pack.Xc_inv @ dJvd)[3:] + collision_correction_jv(pack, v_plus)
             gain = (1.0 - params.baumgarte_kp * (1.0 if frame.signed_distance < 0.0 else 0.0)) / dt
             rows[2] += gain * pack.dphi_dq
             if kd != 0.0:
                 dJvd0 = (dJv_now[b1] if b1 >= 0 else 0.0) - (dJv_now[b2] if b2 >= 0 else 0.0)
-                rows -= kd * ((Xc_inv @ dJvd0)[3:] + collision_correction_jv(pack, v))
+                rows -= kd * ((pack.Xc_inv @ dJvd0)[3:] + collision_correction_jv(pack, v))
             rhs["q"][3 * i : 3 * i + 3] += rows
     if "v" in smooth and kd != 0.0:
         rhs["v"] -= kd * result.J_c

@@ -42,17 +42,8 @@ def with_pair_mu(model: KinematicModel, pair_index: int, mu: float) -> Kinematic
                           gravity=model.gravity, actuated=model.actuated, name=model.name)
 
 
-def _lam_keyed(result) -> dict:
-    if result.solution is None:
-        return {}
-    return {
-        (f.pair, f.feature): result.solution.lam[3 * i : 3 * i + 3]
-        for i, f in enumerate(result.contacts)
-    }
-
-
 def _aligned_lam(result, base_contacts) -> np.ndarray:
-    keyed = _lam_keyed(result)
+    keyed = result.warm_start()
     out = np.zeros(3 * len(base_contacts))
     for i, f in enumerate(base_contacts):
         out[3 * i : 3 * i + 3] = keyed.get((f.pair, f.feature), 0.0)

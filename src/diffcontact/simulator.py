@@ -20,7 +20,7 @@ import numpy as np
 from .collision import narrow_phase
 from .contact import ContactProblem, ContactSolution, ModeThresholds, solve_ncp
 from .dynamics import DynamicsData, compute_dynamics
-from .model import KinematicModel, body_jacobian_world, compute_kinematics, integrate
+from .model import KinematicModel, compute_kinematics, integrate
 from .spatial import adjoint_inverse
 
 log = logging.getLogger("diffcontact")
@@ -112,12 +112,13 @@ def detect_contacts(model: KinematicModel, kin, margin: float) -> list:
     return contacts
 
 
-def contact_jacobian(model: KinematicModel, kin, contacts) -> np.ndarray:
+def contact_jacobian(model: KinematicModel, dyn: DynamicsData, contacts) -> np.ndarray:
     """Stacked (3n, nv) map from joint velocities to contact-frame linear
-    relative velocities (body 1 relative to body 2)."""
+    relative velocities (body 1 relative to body 2), from the body
+    Jacobians of dyn."""
     J = np.zeros((3 * len(contacts), model.nv))
     for i, f in enumerate(contacts):
-        J6 = body_jacobian_world(model, kin, f.body1) - body_jacobian_world(model, kin, f.body2)
+        J6 = dyn.body_jacobian(f.body1) - dyn.body_jacobian(f.body2)
         J[3 * i : 3 * i + 3] = (adjoint_inverse(f.placement) @ J6)[3:]
     return J
 
@@ -141,7 +142,7 @@ def step(model: KinematicModel, state: SimState, tau=None, params: SimParams | N
         return StepResult(SimState(q_next, v_free), [], None, None,
                           np.zeros((0, model.nv)), v_free, dyn)
 
-    J_c = contact_jacobian(model, kin, contacts)
+    J_c = contact_jacobian(model, dyn, contacts)
     G = J_c @ dyn.solve(J_c.T)
     G = 0.5 * (G + G.T)
     g = J_c @ v_free

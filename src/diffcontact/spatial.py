@@ -144,14 +144,22 @@ def force_cross_cols(A: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.stack([*top, *bottom], axis=-2)
 
 
-def so3_exp(w: np.ndarray) -> np.ndarray:
+def _so3_exp_and_left_jacobian(w: np.ndarray):
+    """exp(skew(w)) and the SO(3) left Jacobian of w from one norm, one skew,
+    one sine and cosine, and the shared (1 - cos t) / t^2 skew(w) term."""
     theta = float(np.linalg.norm(w))
     W = skew(w)
     if theta < _EPS_ANGLE:
-        return np.eye(3) + W + 0.5 * W @ W
-    s = np.sin(theta) / theta
-    c = (1.0 - np.cos(theta)) / theta**2
-    return np.eye(3) + s * W + c * W @ W
+        half = 0.5 * W
+        return np.eye(3) + W + half @ W, np.eye(3) + half + W @ W / 6.0
+    sin = np.sin(theta)
+    cW = (1.0 - np.cos(theta)) / theta**2 * W
+    b = (theta - sin) / theta**3
+    return np.eye(3) + sin / theta * W + cW @ W, np.eye(3) + cW + b * W @ W
+
+
+def so3_exp(w: np.ndarray) -> np.ndarray:
+    return _so3_exp_and_left_jacobian(w)[0]
 
 
 def so3_log(R: np.ndarray) -> np.ndarray:
@@ -175,28 +183,16 @@ def so3_log(R: np.ndarray) -> np.ndarray:
     return theta / (2.0 * np.sin(theta)) * unskew(R - R.T)
 
 
-def _so3_left_jacobian(w: np.ndarray) -> np.ndarray:
-    theta = float(np.linalg.norm(w))
-    W = skew(w)
-    if theta < _EPS_ANGLE:
-        return np.eye(3) + 0.5 * W + W @ W / 6.0
-    a = (1.0 - np.cos(theta)) / theta**2
-    b = (theta - np.sin(theta)) / theta**3
-    return np.eye(3) + a * W + b * W @ W
-
-
 def se3_exp(xi: np.ndarray) -> Placement:
     """Exponential of a twist (omega, v)."""
-    w, v = xi[:3], xi[3:]
-    R = so3_exp(w)
-    t = _so3_left_jacobian(w) @ v
-    return Placement(R, t)
+    R, V = _so3_exp_and_left_jacobian(xi[:3])
+    return Placement(R, V @ xi[3:])
 
 
 def se3_log(M: Placement) -> np.ndarray:
     """Twist xi with se3_exp(xi) == M, rotation angle in [0, pi]."""
     w = so3_log(M.rotation)
-    V = _so3_left_jacobian(w)
+    V = _so3_exp_and_left_jacobian(w)[1]
     v = np.linalg.solve(V, M.translation)
     return np.concatenate([w, v])
 

@@ -332,8 +332,7 @@ def test_criterion_4_collision_correction_adjointness():
     state = SimState(q, np.zeros(6))
     params = tight_params()
     res = step(model, state, None, params)
-    packs = _contact_packs(model, compute_kinematics(model, state.q),
-                           res.contacts, params.contact_margin)
+    packs = _contact_packs(model, res.dyn, res.contacts)
     assert packs
     gen = np.random.default_rng(77)
     n_triples, worst = 0, 0.0

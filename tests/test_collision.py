@@ -14,13 +14,12 @@ from diffcontact.collision import (
     Halfspace,
     Sphere,
     UnsupportedCollisionPair,
-    cd_derivatives,
+    frame_derivative,
     frame_from_normal,
     narrow_phase,
     pair_supported,
-    signed_distance_derivative,
 )
-from diffcontact.spatial import Placement, se3_exp
+from diffcontact.spatial import Placement, adjoint, se3_exp
 
 rng = np.random.default_rng(31)
 
@@ -156,9 +155,19 @@ def test_unsupported_pair_raises():
         narrow_phase(GROUND, GROUND, Placement.identity(), Placement.identity())
 
 
+def _local_basis_derivative(shape1, shape2, M1, M2, frame):
+    """frame_derivative along the six local basis twists of each placement
+    (geometry 1 columns 0:6, geometry 2 columns 6:12), written as the world
+    twists T1 = [Ad(M1) | 0] and T2 = [0 | Ad(M2)]."""
+    zero = np.zeros((6, 6))
+    T1 = np.hstack([adjoint(M1), zero])
+    T2 = np.hstack([zero, adjoint(M2)])
+    return frame_derivative(shape1, shape2, M1, M2, frame, T1, T2)
+
+
 def _fd_frame_derivative(shape1, shape2, M1, M2, frame, eps=1e-7, margin=10.0):
     """FD of the contact frame under local twists; returns (6, 12) local
-    contact twists matching CdDerivatives column convention."""
+    contact twists in the column order of _local_basis_derivative."""
     out = np.zeros((6, 12))
     R_c = frame.placement.rotation
 
@@ -185,7 +194,7 @@ def _fd_frame_derivative(shape1, shape2, M1, M2, frame, eps=1e-7, margin=10.0):
 
 
 @pytest.mark.parametrize("case", ["sphere_plane", "sphere_sphere", "box_plane",
-                                  "tilted_plane"])
+                                  "tilted_plane", "box_moving_tilted_plane"])
 def test_cd_derivatives_match_fd(case):
     if case == "sphere_plane":
         sh1, sh2 = Sphere(0.2), GROUND
@@ -199,13 +208,21 @@ def test_cd_derivatives_match_fd(case):
         sh1, sh2 = Box(np.array([0.1, 0.1, 0.1])), GROUND
         M1 = placement_at([0, 0, 0.099], xi=np.array([0.3, 0.2, 0.5, 0, 0, 0]))
         M2 = Placement.identity()
-    else:
+    elif case == "tilted_plane":
         sh1, sh2 = Sphere(0.2), Halfspace(np.array([1.0, 0, 1.0]) / np.sqrt(2), 0.0)
         M1 = placement_at([0.2, 0.1, 0.25])
         M2 = placement_at([0.0, 0.0, 0.0], xi=np.array([0.0, 0.1, 0.05, 0, 0, 0]))
-    for frame in narrow_phase(sh1, sh2, M1, M2, margin=10.0):
-        cd = cd_derivatives(sh1, sh2, M1, M2, frame, margin=10.0)
-        got = np.hstack([cd.d_m1, cd.d_m2])
+    else:
+        # the halfspace is rotated and off the origin, so its twists move
+        # the normal and the plane under every box corner
+        sh1 = Box(np.array([0.1, 0.15, 0.08]))
+        sh2 = Halfspace(np.array([0.3, -0.2, 1.0]) / np.linalg.norm([0.3, -0.2, 1.0]), 0.05)
+        M1 = placement_at([0.2, -0.1, 0.3], xi=np.array([0.35, -0.25, 0.6, 0, 0, 0]))
+        M2 = placement_at([0.1, 0.05, 0.02], xi=np.array([0.2, -0.15, 0.4, 0.05, 0.0, -0.03]))
+    frames = narrow_phase(sh1, sh2, M1, M2, margin=10.0)
+    assert frames
+    for frame in frames:
+        got = _local_basis_derivative(sh1, sh2, M1, M2, frame)[0]
         want = _fd_frame_derivative(sh1, sh2, M1, M2, frame)
         np.testing.assert_allclose(got, want, atol=5e-6)
 
@@ -214,8 +231,8 @@ def test_signed_distance_derivative_matches_fd():
     sh1, sh2 = Box(np.array([0.1, 0.1, 0.1])), GROUND
     M1 = placement_at([0, 0, 0.099], xi=np.array([0.25, -0.15, 0.4, 0, 0, 0]))
     M2 = Placement.identity()
-    D = signed_distance_derivative(sh1, sh2, M1, M2, margin=10.0)
     frames = narrow_phase(sh1, sh2, M1, M2, margin=10.0)
+    D = np.stack([_local_basis_derivative(sh1, sh2, M1, M2, f)[1] for f in frames])
     assert D.shape == (len(frames), 12)
     eps = 1e-7
     for i, frame in enumerate(frames):

@@ -14,7 +14,7 @@ from conftest import (
     tight_params,
     translation,
 )
-from diffcontact import derivatives
+from diffcontact import collision, derivatives
 from diffcontact.cli import load_scene
 from diffcontact.collision import Halfspace, Sphere
 from diffcontact.contact import ContactProblem, ContactSolution, Mode, solve_ncp
@@ -252,6 +252,23 @@ def test_contact_packs_built_for_q_only(monkeypatch):
             for key, want in getattr(ref, blk).items():
                 assert np.array_equal(getattr(jac, blk)[key], want)
         assert jac.boundary == ref.boundary
+
+
+def test_step_jacobian_runs_no_narrow_phase(monkeypatch):
+    """The contact-frame derivatives come from the step's own frames: the
+    Jacobian runs the narrow phase on no pair."""
+    model, state, params = load_scene("cube_slide")
+    res = step(model, state, None, params)
+    assert res.contacts
+    records, calls = collision._contact_records, []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return records(*args, **kwargs)
+
+    monkeypatch.setattr(collision, "_contact_records", counting)
+    step_jacobian(model, state, None, params, res, theta="all")
+    assert calls == []
 
 
 def test_step_jacobian_block_lists_match_single_blocks():
@@ -543,7 +560,7 @@ def _sigma_frozen(model, q, v, tau, params, lam, order):
     contacts = detect_contacts(model, kin, params.contact_margin)
     by_key = {(f.pair, f.feature): f for f in contacts}
     contacts = [by_key[k] for k in order]
-    J_c = contact_jacobian(model, kin, contacts)
+    J_c = contact_jacobian(model, dyn, contacts)
     G = J_c @ dyn.solve(J_c.T)
     g = J_c @ v_free
     for i, f in enumerate(contacts):
@@ -603,8 +620,7 @@ def test_frame_correction_adjointness():
     state = tilted_cube_state(model)
     params = tight_params(ncp_tol=3e-15)
     res = step(model, state, None, params)
-    kin = compute_kinematics(model, state.q)
-    packs = _contact_packs(model, kin, res.contacts, params.contact_margin)
+    packs = _contact_packs(model, res.dyn, res.contacts)
     gen = np.random.default_rng(7)
     for pack in packs:
         for _ in range(5):
