@@ -6,11 +6,14 @@ the contact normal, which points from geometry 2 toward geometry 1.
 Plane contacts are placed on the plane; sphere-sphere contacts at the
 midpoint of the two surface points.
 
+Each pair has one contact normal, so narrow_phase builds one frame rotation
+per pair and every contact of the pair (each box corner) shares it.
+
 frame_derivative differentiates a contact frame in closed form along the
 world twists of the two geometries, one column per joint-space direction:
 pass rows of the step's body Jacobians and it returns the frame's local
 twist and the signed-distance rate per tangent direction, with no second
-narrow-phase pass.
+narrow-phase pass. The rotation rates are read off the frame's own axes.
 """
 from __future__ import annotations
 
@@ -18,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spatial import Placement, skew
+from .spatial import Placement, _cross, skew
 
 
 class UnsupportedCollisionPair(ValueError):
@@ -95,47 +98,14 @@ def frame_from_normal(n: np.ndarray) -> np.ndarray:
         ref = np.array([0.0, 1.0, 0.0])
     x = ref - (n @ ref) * n
     x = x / np.linalg.norm(x)
-    y = np.cross(n, x)
-    return np.stack([x, y, n], axis=1)
-
-
-def _frame_rotation_differential(n, dn):
-    """World angular velocities of the n -> frame_from_normal(n) frame, one
-    column per normal perturbation column of dn (3, m).
-
-    With frame axes (x, y, n), each column is 0.5 (x × dx + y × dy + n × dn),
-    the axial part of dR R^T."""
-    if abs(n[0]) <= _REF_SWITCH:
-        ref = np.array([1.0, 0.0, 0.0])
-    else:
-        ref = np.array([0.0, 1.0, 0.0])
-    x_raw = ref - (n @ ref) * n
-    nr = np.linalg.norm(x_raw)
-    x = x_raw / nr
-    dx_raw = -np.outer(n, ref @ dn) - (n @ ref) * dn
-    dx = (dx_raw - np.outer(x, x @ dx_raw)) / nr
-    Sx, Sn = skew(x), skew(n)
-    y = Sn @ x
-    dy = Sn @ dx - Sx @ dn
-    return 0.5 * (Sx @ dx + skew(y) @ dy + Sn @ dn)
-
-
-@dataclass
-class _Record:
-    """Raw contact before its frame is built."""
-
-    point: np.ndarray
-    normal: np.ndarray
-    phi: float
-    feature: int
-    boundary: bool
+    return np.stack([x, np.array(_cross(n, x)), n], axis=1)
 
 
 def _records_sphere_halfspace(s: Sphere, h: Halfspace, M1, M2):
     n = M2.rotation @ h.normal
     c = M1.translation
     phi = float(n @ (c - M2.translation) - h.offset - s.radius)
-    return [_Record(c - (phi + s.radius) * n, n, phi, 0, False)]
+    return n, [(c - (phi + s.radius) * n, phi, 0)], False
 
 
 def _records_sphere_sphere(s1: Sphere, s2: Sphere, M1, M2):
@@ -146,18 +116,18 @@ def _records_sphere_sphere(s1: Sphere, s2: Sphere, M1, M2):
     n = d / dist
     phi = dist - s1.radius - s2.radius
     p = 0.5 * (M1.translation + M2.translation) + 0.5 * (s2.radius - s1.radius) * n
-    return [_Record(p, n, float(phi), 0, False)]
+    return n, [(p, float(phi), 0)], False
 
 
-def _records_box_halfspace(b: Box, h: Halfspace, M1, M2, margin):
+def _records_box_halfspace(b: Box, h: Halfspace, M1, M2):
     n = M2.rotation @ h.normal
     n_body = M1.rotation.T @ n
     order = np.argsort(-np.abs(n_body))
     k_face = int(order[0])
-    boundary = bool(abs(abs(n_body[order[0]]) - abs(n_body[order[1]])) < 1e-6)
+    face_tie = bool(abs(abs(n_body[order[0]]) - abs(n_body[order[1]])) < 1e-6)
     free = [a for a in range(3) if a != k_face]
     he = np.asarray(b.half_extents, dtype=float)
-    recs = []
+    corners = []
     for sa in (-1.0, 1.0):
         for sb in (-1.0, 1.0):
             x = np.empty(3)
@@ -166,26 +136,25 @@ def _records_box_halfspace(b: Box, h: Halfspace, M1, M2, margin):
             x[free[1]] = sb * he[free[1]]
             w = M1.translation + M1.rotation @ x
             phi = float(n @ (w - M2.translation) - h.offset)
-            if phi > margin:
-                continue
             feature = int((x[0] > 0) + 2 * (x[1] > 0) + 4 * (x[2] > 0))
-            recs.append(_Record(w - phi * n, n, phi, feature, boundary))
-    return recs
+            corners.append((w - phi * n, phi, feature))
+    return n, corners, face_tie
 
 
-def _contact_records(shape1, shape2, M1, M2, margin):
+def _contact_records(shape1, shape2, M1, M2):
+    """(normal, [(point, phi, feature)], face_tie) of one pair: its one
+    normal, every candidate contact before the margin test, and whether two
+    box faces tie."""
     if isinstance(shape1, Sphere) and isinstance(shape2, Halfspace):
-        recs = _records_sphere_halfspace(shape1, shape2, M1, M2)
-    elif isinstance(shape1, Sphere) and isinstance(shape2, Sphere):
-        recs = _records_sphere_sphere(shape1, shape2, M1, M2)
-    elif isinstance(shape1, Box) and isinstance(shape2, Halfspace):
-        return _records_box_halfspace(shape1, shape2, M1, M2, margin)
-    else:
-        raise UnsupportedCollisionPair(
-            f"no narrow phase for ({type(shape1).__name__}, {type(shape2).__name__}); "
-            "supported: (Sphere|Box, Halfspace) and (Sphere, Sphere)"
-        )
-    return [r for r in recs if r.phi <= margin]
+        return _records_sphere_halfspace(shape1, shape2, M1, M2)
+    if isinstance(shape1, Sphere) and isinstance(shape2, Sphere):
+        return _records_sphere_sphere(shape1, shape2, M1, M2)
+    if isinstance(shape1, Box) and isinstance(shape2, Halfspace):
+        return _records_box_halfspace(shape1, shape2, M1, M2)
+    raise UnsupportedCollisionPair(
+        f"no narrow phase for ({type(shape1).__name__}, {type(shape2).__name__}); "
+        "supported: (Sphere|Box, Halfspace) and (Sphere, Sphere)"
+    )
 
 
 def pair_supported(shape1, shape2) -> bool:
@@ -196,18 +165,17 @@ def pair_supported(shape1, shape2) -> bool:
 
 
 def narrow_phase(shape1, shape2, M1: Placement, M2: Placement, margin: float = 1e-4):
-    """Contact frames between two geometries, at most margin above touch."""
-    frames = []
-    for rec in _contact_records(shape1, shape2, M1, M2, margin):
-        frames.append(
-            ContactFrame(
-                placement=Placement(frame_from_normal(rec.normal), rec.point),
-                signed_distance=rec.phi,
-                feature=rec.feature,
-                boundary=bool(rec.boundary or abs(abs(rec.normal[0]) - _REF_SWITCH) < 1e-6),
-            )
-        )
-    return frames
+    """Contact frames between two geometries, at most margin above touch.
+    All frames of the pair share one rotation (the pair has one normal)."""
+    n, contacts, face_tie = _contact_records(shape1, shape2, M1, M2)
+    contacts = [(p, phi, feature) for p, phi, feature in contacts if phi <= margin]
+    if not contacts:
+        return []
+    R = frame_from_normal(n)
+    boundary = bool(face_tie or abs(abs(n[0]) - _REF_SWITCH) < 1e-6)
+    return [ContactFrame(placement=Placement(R, p), signed_distance=phi, feature=feature,
+                         boundary=boundary)
+            for p, phi, feature in contacts]
 
 
 def _point_velocity(T: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -223,9 +191,14 @@ def frame_derivative(shape1, shape2, M1: Placement, M2: Placement, frame: Contac
     Returns dM (6, m), the frame's local twist (angular first), and dphi
     (m,), the signed-distance rate. A halfspace contact lies below the
     anchor a = p + (phi + s) n on geometry 1 (s the sphere radius, or 0 at a
-    box corner); the normal turns with geometry 2, dn = -skew(n) T2[:3]."""
+    box corner); the normal turns with geometry 2, dn = -skew(n) T2[:3].
+
+    The rotation rates are read off the frame's own axes R_c = [x y n]:
+    dn = w x n gives the tangential rates (-y.dn, x.dn), and dx = w x x with
+    x[k] = ref.x = |ref - (n.ref) n| (ref = e_k of frame_from_normal) gives
+    the normal rate -(n[k] / x[k]) y.dn. A static normal gives exactly zero."""
     R_c = frame.placement.rotation
-    n = R_c[:, 2]
+    x, y, n = R_c.T
     if isinstance(shape2, Sphere):
         c1, c2 = M1.translation, M2.translation
         v1, v2 = _point_velocity(T1, c1), _point_velocity(T2, c2)
@@ -240,5 +213,6 @@ def frame_derivative(shape1, shape2, M1: Placement, M2: Placement, frame: Contac
         dn = -skew(n) @ T2[:3]
         dphi = n @ (va - _point_velocity(T2, a))
         dp = va - np.outer(n, dphi) - depth * dn
-    w = _frame_rotation_differential(n, dn)
-    return np.vstack([R_c.T @ w, R_c.T @ dp]), dphi
+    k = 0 if abs(n[0]) <= _REF_SWITCH else 1
+    y_dn = y @ dn
+    return np.vstack([-y_dn, x @ dn, -(n[k] / x[k]) * y_dn, R_c.T @ dp]), dphi

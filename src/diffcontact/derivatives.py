@@ -247,19 +247,18 @@ def _frozen_impulse_rhs(model, state, params, result, smooth):
         dvp["q"] = -dt * dyn.solve(dID_q)
         if contacts:
             # Frozen-impulse generalized-force variation: fixed world wrench
-            # per contact plus the frame-variation corrections.
+            # per contact plus the frame-variation corrections. The last row
+            # of wrenches stands for the environment (body -1) and is dropped.
             lam = result.solution.lam
-            wrenches = np.zeros((model.nb, 6))
+            wrenches = np.zeros((model.nb + 1, 6))
             JTL = np.zeros((nv, nv))
             for i, (frame, pack) in enumerate(zip(contacts, packs)):
                 lam_c = lam[3 * i : 3 * i + 3]
                 phi_w = pack.Xc_inv.T @ np.concatenate([np.zeros(3), lam_c])
-                if frame.body1 >= 0:
-                    wrenches[frame.body1] += phi_w
-                if frame.body2 >= 0:
-                    wrenches[frame.body2] -= phi_w
+                wrenches[frame.body1] += phi_w
+                wrenches[frame.body2] -= phi_w
                 JTL += collision_correction_jtl(pack, lam_c)
-            dvp["q"] += dyn.solve(applied_wrench_q_derivative(model, kin, wrenches) + JTL)
+            dvp["q"] += dyn.solve(applied_wrench_q_derivative(model, kin, wrenches[:-1]) + JTL)
     if "v" in smooth:
         dvp["v"] = np.eye(nv) - dt * dyn.solve(dID_v)
     if "tau" in smooth:
@@ -269,18 +268,22 @@ def _frozen_impulse_rhs(model, state, params, result, smooth):
     # Kinematic + frame variation of J_c v+ and the stabilization terms:
     # theta = q only, except the K_d term, which v has too; tau has none.
     if "q" in smooth and contacts:
-        dJv_plus, _ = jv_q_derivatives(model, kin, v_plus)
+        def contact_rows(dJv, frame, pack, w):
+            """d(J_c w)/dq of one contact: kinematic plus frame variation."""
+            dJvd = dJv[frame.body1] - dJv[frame.body2]
+            return (pack.Xc_inv @ dJvd)[3:] + collision_correction_jv(pack, w)
+
+        # d(J_i w)/dq per body, with a last zero row for the environment (body -1).
+        env = np.zeros((1, 6, nv))
+        dJv_plus = np.concatenate([jv_q_derivatives(model, kin, v_plus)[0], env])
         if kd != 0.0:
-            dJv_now, _ = jv_q_derivatives(model, kin, v)
+            dJv_now = np.concatenate([jv_q_derivatives(model, kin, v)[0], env])
         for i, (frame, pack) in enumerate(zip(contacts, packs)):
-            b1, b2 = frame.body1, frame.body2
-            dJvd = (dJv_plus[b1] if b1 >= 0 else 0.0) - (dJv_plus[b2] if b2 >= 0 else 0.0)
-            rows = (pack.Xc_inv @ dJvd)[3:] + collision_correction_jv(pack, v_plus)
+            rows = contact_rows(dJv_plus, frame, pack, v_plus)
             gain = (1.0 - params.baumgarte_kp * (1.0 if frame.signed_distance < 0.0 else 0.0)) / dt
             rows[2] += gain * pack.dphi_dq
             if kd != 0.0:
-                dJvd0 = (dJv_now[b1] if b1 >= 0 else 0.0) - (dJv_now[b2] if b2 >= 0 else 0.0)
-                rows -= kd * ((pack.Xc_inv @ dJvd0)[3:] + collision_correction_jv(pack, v))
+                rows -= kd * contact_rows(dJv_now, frame, pack, v)
             rhs["q"][3 * i : 3 * i + 3] += rows
     if "v" in smooth and kd != 0.0:
         rhs["v"] -= kd * result.J_c

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from diffcontact import collision
 from diffcontact.collision import (
     Box,
     ContactFrame,
@@ -132,6 +133,27 @@ def test_box_halfspace_tilted_keeps_low_corners():
         assert f.signed_distance <= 1e-4
 
 
+def test_box_patch_builds_one_frame_rotation(monkeypatch):
+    """A pair has one normal: the four corners of a flat box share one frame
+    rotation, built once, and a pair with nothing in margin builds none."""
+    calls = []
+
+    def counting(n):
+        calls.append(1)
+        return frame_from_normal(n)
+
+    monkeypatch.setattr(collision, "frame_from_normal", counting)
+    b = Box(np.array([0.1, 0.2, 0.05]))
+    frames = narrow_phase(b, GROUND, placement_at([0, 0, 0.05]), Placement.identity(),
+                          margin=1e-3)
+    assert len(frames) == 4 and len(calls) == 1
+    assert all(f.placement.rotation is frames[0].placement.rotation for f in frames)
+    calls.clear()
+    assert narrow_phase(b, GROUND, placement_at([0, 0, 0.5]), Placement.identity(),
+                        margin=1e-3) == []
+    assert calls == []
+
+
 def test_box_patch_feature_ids_stable_under_jitter():
     b = Box(np.array([0.1, 0.1, 0.1]))
     base = narrow_phase(b, GROUND, placement_at([0, 0, 0.09998]), Placement.identity())
@@ -194,7 +216,8 @@ def _fd_frame_derivative(shape1, shape2, M1, M2, frame, eps=1e-7, margin=10.0):
 
 
 @pytest.mark.parametrize("case", ["sphere_plane", "sphere_sphere", "box_plane",
-                                  "tilted_plane", "box_moving_tilted_plane"])
+                                  "tilted_plane", "box_moving_tilted_plane",
+                                  "sphere_moving_x_normal_plane", "box_moving_x_normal_plane"])
 def test_cd_derivatives_match_fd(case):
     if case == "sphere_plane":
         sh1, sh2 = Sphere(0.2), GROUND
@@ -212,6 +235,13 @@ def test_cd_derivatives_match_fd(case):
         sh1, sh2 = Sphere(0.2), Halfspace(np.array([1.0, 0, 1.0]) / np.sqrt(2), 0.0)
         M1 = placement_at([0.2, 0.1, 0.25])
         M2 = placement_at([0.0, 0.0, 0.0], xi=np.array([0.0, 0.1, 0.05, 0, 0, 0]))
+    elif case in ("sphere_moving_x_normal_plane", "box_moving_x_normal_plane"):
+        # |n_x| > 0.99: frame_from_normal takes its x axis from world y, so
+        # the normal rate reads n[1] / x[1]
+        sh1 = Sphere(0.2) if case.startswith("sphere") else Box(np.array([0.1, 0.15, 0.08]))
+        sh2 = Halfspace(np.array([1.0, 0.04, -0.06]) / np.linalg.norm([1.0, 0.04, -0.06]), 0.05)
+        M1 = placement_at([0.4, 0.1, -0.2], xi=np.array([0.1, -0.05, 0.08, 0, 0, 0]))
+        M2 = placement_at([0.1, 0.05, 0.02], xi=np.array([0.03, 0.02, -0.04, 0.05, 0.0, -0.03]))
     else:
         # the halfspace is rotated and off the origin, so its twists move
         # the normal and the plane under every box corner
@@ -221,6 +251,8 @@ def test_cd_derivatives_match_fd(case):
         M2 = placement_at([0.1, 0.05, 0.02], xi=np.array([0.2, -0.15, 0.4, 0.05, 0.0, -0.03]))
     frames = narrow_phase(sh1, sh2, M1, M2, margin=10.0)
     assert frames
+    if "x_normal" in case:
+        assert abs(frames[0].normal[0]) > 0.99 and not frames[0].boundary
     for frame in frames:
         got = _local_basis_derivative(sh1, sh2, M1, M2, frame)[0]
         want = _fd_frame_derivative(sh1, sh2, M1, M2, frame)

@@ -50,3 +50,18 @@ def test_traced_step_jacobian_builds_no_dynamics(tracing):
     assert tracer.calls("dynamics.compute_dynamics") == 1
     assert tracer.calls("model.compute_kinematics") == 1
     assert tracer.calls("derivatives.step_jacobian") == 1
+
+
+def test_traced_step_records_one_narrow_phase_span_per_pair(tracing):
+    """detect_contacts calls narrow_phase through the simulator namespace, so
+    the tracer's collision.narrow_phase span sees every declared pair."""
+    model, state, params = load_scene("cube_slide")
+    patches = tracing.Patches()
+    tracer = tracing.Tracer()
+    try:
+        tracer.install(patches)
+        simulator.step(model, state, None, params)
+    finally:
+        patches.restore()
+    assert model.pairs
+    assert tracer.calls("collision.narrow_phase") == len(model.pairs)
