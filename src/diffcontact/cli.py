@@ -326,7 +326,12 @@ def cmd_bench(args) -> int:
     return 0
 
 
-def _read_target_q(path, model):
+def _read_target(path, count: int, start: int = 0):
+    """Floats [start, start + count) of the last data row of a target CSV
+    (after a "step" header row, if any), and the number of data rows. A v*
+    row (start 0) holds exactly count values, a trajectory row (start 1,
+    after the step index) at least 1 + count; anything else, no data row
+    or a non-numeric entry raises SceneError."""
     with open(path) as fh:
         rows = [r for r in csv.reader(fh) if r]
     if rows and rows[0][0] == "step":
@@ -334,9 +339,13 @@ def _read_target_q(path, model):
     if not rows:
         raise SceneError(f"target file {path} holds no data rows")
     last = rows[-1]
-    if len(last) >= 1 + model.nq:
-        return np.asarray([float(x) for x in last[1 : 1 + model.nq]]), len(rows)
-    raise SceneError(f"target row too short for nq={model.nq}")
+    if len(last) < start + count or (start == 0 and len(last) != count):
+        raise SceneError(f"target row holds {len(last)} values, expected "
+                         f"{'at least ' if start else ''}{start + count}")
+    try:
+        return np.asarray([float(x) for x in last[start : start + count]]), len(rows)
+    except ValueError as exc:
+        raise SceneError(f"target file {path}: {exc}") from exc
 
 
 def cmd_solve_inverse(args) -> int:
@@ -347,7 +356,7 @@ def cmd_solve_inverse(args) -> int:
             print("error: --target trajectory CSV required for estimation problems",
                   file=sys.stderr)
             return 2
-        target_q, rows = _read_target_q(args.target, model)
+        target_q, rows = _read_target(args.target, model.nq, start=1)
         horizon = args.horizon or rows
         kind = "v0" if args.problem == "estimate-v0" else "tau0"
         theta, trace = estimate_initial_conditions(
@@ -360,13 +369,7 @@ def cmd_solve_inverse(args) -> int:
     else:
         v_target = state.v.copy()
         if args.target:
-            with open(args.target) as fh:
-                rows = [r for r in csv.reader(fh) if r]
-            vals = [float(x) for x in rows[-1]]
-            if len(vals) != model.nv:
-                print(f"error: invdyn target must hold {model.nv} values", file=sys.stderr)
-                return 2
-            v_target = np.asarray(vals)
+            v_target = _read_target(args.target, model.nv)[0]
         theta, trace = inverse_dynamics_contact(model, state, v_target, params, settings)
         res = step(model, state, model.selection_matrix().T @ theta, params)
         err = float(np.linalg.norm(res.state.v - v_target))

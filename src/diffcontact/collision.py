@@ -119,6 +119,10 @@ def _records_sphere_sphere(s1: Sphere, s2: Sphere, M1, M2):
     return n, [(p, float(phi), 0)], False
 
 
+# Signs (sa, sb) of a box's four corners along its two free axes, in corner order.
+_CORNER_SIGNS = np.array([[-1.0, -1.0], [-1.0, 1.0], [1.0, -1.0], [1.0, 1.0]])
+
+
 def _records_box_halfspace(b: Box, h: Halfspace, M1, M2):
     n = M2.rotation @ h.normal
     n_body = M1.rotation.T @ n
@@ -127,18 +131,14 @@ def _records_box_halfspace(b: Box, h: Halfspace, M1, M2):
     face_tie = bool(abs(abs(n_body[order[0]]) - abs(n_body[order[1]])) < 1e-6)
     free = [a for a in range(3) if a != k_face]
     he = np.asarray(b.half_extents, dtype=float)
-    corners = []
-    for sa in (-1.0, 1.0):
-        for sb in (-1.0, 1.0):
-            x = np.empty(3)
-            x[k_face] = -np.sign(n_body[k_face]) * he[k_face]
-            x[free[0]] = sa * he[free[0]]
-            x[free[1]] = sb * he[free[1]]
-            w = M1.translation + M1.rotation @ x
-            phi = float(n @ (w - M2.translation) - h.offset)
-            feature = int((x[0] > 0) + 2 * (x[1] > 0) + 4 * (x[2] > 0))
-            corners.append((w - phi * n, phi, feature))
-    return n, corners, face_tie
+    x = np.empty((4, 3))
+    x[:, k_face] = -np.sign(n_body[k_face]) * he[k_face]
+    x[:, free] = _CORNER_SIGNS * he[free]
+    w = M1.translation + (M1.rotation @ x[:, :, None])[:, :, 0]
+    phi = ((w - M2.translation)[:, None, :] @ n)[:, 0] - h.offset
+    features = (x > 0) @ np.array([1, 2, 4])
+    corners = zip(w - phi[:, None] * n, phi.tolist(), features.tolist())
+    return n, list(corners), face_tie
 
 
 def _contact_records(shape1, shape2, M1, M2):

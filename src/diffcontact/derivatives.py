@@ -19,6 +19,8 @@ velocity at frozen impulse; it collects the smooth-dynamics partials, the
 kinematic variation of the contact Jacobian at a fixed frame, the
 contact-frame variation (collision.frame_derivative of the step's own
 frames along the rows of its body Jacobians), and the stabilization terms.
+The contact packs are stacked along a leading contact axis around one batched
+inverse adjoint per step, so the wrench, correction and rhs terms are too.
 """
 from __future__ import annotations
 
@@ -40,7 +42,8 @@ from .model import (
     integrate_jacobians,
     jv_q_derivatives,
 )
-from .spatial import adjoint_inverse, motion_cross, p_operator
+from .simulator import _body_rows, contact_frame_jacobians
+from .spatial import motion_cross, p_operator
 
 
 # Relative cutoff on the reduced system A: the QR rank test flags the active
@@ -146,42 +149,49 @@ def solve_reduced(rs: ReducedSystem, rhs: np.ndarray):
 
 @dataclass
 class _ContactDiff:
-    """Per-contact kinematic pack used by the correction terms."""
+    """Kinematic packs of the step's contacts, stacked along a leading
+    contact axis, used by the correction terms."""
 
-    Xc_inv: np.ndarray    # (6, 6) inverse adjoint of the contact frame
-    Jc6: np.ndarray       # (6, nv) relative twist Jacobian in the frame
-    dM: np.ndarray        # (6, nv) frame local twist per tangent
-    dphi_dq: np.ndarray   # (nv,)
+    Xc_inv: np.ndarray    # (n, 6, 6) inverse adjoints of the contact frames
+    Jc6: np.ndarray       # (n, 6, nv) relative twist Jacobians in the frames
+    dM: np.ndarray        # (n, 6, nv) frame local twists per tangent
+    dphi_dq: np.ndarray   # (n, nv)
 
 
 def _contact_packs(model, dyn, contacts):
-    """One pack per contact frame of the step, differentiated along the
+    """The packs of the step's contact frames, differentiated along the
     rows of the step's body Jacobians dyn.J; no narrow phase runs again."""
-    packs = []
-    for frame in contacts:
-        g1, g2 = frame.pair
-        T1, T2 = dyn.body_jacobian(frame.body1), dyn.body_jacobian(frame.body2)
-        dM, dphi = co.frame_derivative(
-            model.geometries[g1].shape, model.geometries[g2].shape,
-            dyn.kin.geom_placements[g1], dyn.kin.geom_placements[g2], frame, T1, T2)
-        Xc_inv = adjoint_inverse(frame.placement)
-        packs.append(_ContactDiff(Xc_inv=Xc_inv, Jc6=Xc_inv @ (T1 - T2), dM=dM, dphi_dq=dphi))
-    return packs
+    Xc_inv, Jc6 = contact_frame_jacobians(dyn, contacts)
+    T1 = _body_rows(dyn.J, [f.body1 for f in contacts])
+    T2 = _body_rows(dyn.J, [f.body2 for f in contacts])
+    shapes, placements = [g.shape for g in model.geometries], dyn.kin.geom_placements
+    dM, dphi = zip(*(co.frame_derivative(shapes[f.pair[0]], shapes[f.pair[1]],
+                                         placements[f.pair[0]], placements[f.pair[1]], f, t1, t2)
+                     for f, t1, t2 in zip(contacts, T1, T2)))
+    return _ContactDiff(Xc_inv=Xc_inv, Jc6=Jc6, dM=np.array(dM), dphi_dq=np.array(dphi))
 
 
-def collision_correction_jv(pack: _ContactDiff, v: np.ndarray) -> np.ndarray:
-    """Frame-variation part of d(J_c v)/dq at fixed v (3 x nv): the relative
-    twist seen from a frame moving with local twist dM dq."""
-    return (motion_cross(pack.Jc6 @ v) @ pack.dM)[3:]
+def _frame_wrenches(lam: np.ndarray) -> np.ndarray:
+    """Contact-frame wrenches (0, lam_c) of the impulses lam (3n,), (n, 6)."""
+    y = np.zeros((len(lam) // 3, 6))
+    y[:, 3:] = lam.reshape(-1, 3)
+    return y
 
 
-def collision_correction_jtl(pack: _ContactDiff, lam_c: np.ndarray) -> np.ndarray:
-    """Frame-variation part of d(J_c^T lambda)/dq at fixed lambda (nv x nv).
+def collision_correction_jv(packs: _ContactDiff, v: np.ndarray) -> np.ndarray:
+    """Frame-variation part of d(J_c v)/dq at fixed v, per contact (n, 3, nv):
+    the relative twist seen from a frame moving with local twist dM dq."""
+    return (motion_cross(packs.Jc6 @ v) @ packs.dM)[:, 3:]
+
+
+def collision_correction_jtl(packs: _ContactDiff, lam: np.ndarray) -> np.ndarray:
+    """Frame-variation part of d(J_c^T lambda)/dq at fixed lambda (3n,), summed
+    over the contacts in contact order (nv x nv).
 
     Adjoint of collision_correction_jv: <d(J_c^T lam) dq, v> =
     <lam, d(J_c v) dq> holds exactly."""
-    y = np.concatenate([np.zeros(3), lam_c])
-    return -pack.Jc6.T @ (p_operator(y) @ pack.dM)
+    Y = p_operator(_frame_wrenches(lam))
+    return (-np.swapaxes(packs.Jc6, -1, -2) @ (Y @ packs.dM)).sum(axis=0)
 
 
 @dataclass
@@ -239,6 +249,7 @@ def _frozen_impulse_rhs(model, state, params, result, smooth):
     contacts = result.contacts
     if "q" in smooth and contacts:
         packs = _contact_packs(model, dyn, contacts)
+        b1, b2 = [f.body1 for f in contacts], [f.body2 for f in contacts]
 
     dvp = {}
     if "q" in smooth or "v" in smooth:
@@ -248,16 +259,14 @@ def _frozen_impulse_rhs(model, state, params, result, smooth):
         if contacts:
             # Frozen-impulse generalized-force variation: fixed world wrench
             # per contact plus the frame-variation corrections. The last row
-            # of wrenches stands for the environment (body -1) and is dropped.
+            # of wrenches stands for the environment (body -1) and is dropped;
+            # each contact adds its wrench to body 1, then subtracts it from body 2.
             lam = result.solution.lam
+            phi_w = (np.swapaxes(packs.Xc_inv, -1, -2) @ _frame_wrenches(lam)[:, :, None])[:, :, 0]
             wrenches = np.zeros((model.nb + 1, 6))
-            JTL = np.zeros((nv, nv))
-            for i, (frame, pack) in enumerate(zip(contacts, packs)):
-                lam_c = lam[3 * i : 3 * i + 3]
-                phi_w = pack.Xc_inv.T @ np.concatenate([np.zeros(3), lam_c])
-                wrenches[frame.body1] += phi_w
-                wrenches[frame.body2] -= phi_w
-                JTL += collision_correction_jtl(pack, lam_c)
+            np.add.at(wrenches, np.stack([b1, b2], axis=1).ravel(),
+                      np.stack([phi_w, -phi_w], axis=1).reshape(-1, 6))
+            JTL = collision_correction_jtl(packs, lam)
             dvp["q"] += dyn.solve(applied_wrench_q_derivative(model, kin, wrenches[:-1]) + JTL)
     if "v" in smooth:
         dvp["v"] = np.eye(nv) - dt * dyn.solve(dID_v)
@@ -268,23 +277,18 @@ def _frozen_impulse_rhs(model, state, params, result, smooth):
     # Kinematic + frame variation of J_c v+ and the stabilization terms:
     # theta = q only, except the K_d term, which v has too; tau has none.
     if "q" in smooth and contacts:
-        def contact_rows(dJv, frame, pack, w):
-            """d(J_c w)/dq of one contact: kinematic plus frame variation."""
-            dJvd = dJv[frame.body1] - dJv[frame.body2]
-            return (pack.Xc_inv @ dJvd)[3:] + collision_correction_jv(pack, w)
+        def contact_rows(dJv, w):
+            """d(J_c w)/dq per contact (n, 3, nv) from d(J_i w)/dq per body."""
+            dJvd = _body_rows(dJv, b1) - _body_rows(dJv, b2)
+            return (packs.Xc_inv @ dJvd)[:, 3:] + collision_correction_jv(packs, w)
 
-        # d(J_i w)/dq per body, with a last zero row for the environment (body -1).
-        env = np.zeros((1, 6, nv))
-        dJv_plus = np.concatenate([jv_q_derivatives(model, kin, v_plus)[0], env])
+        rows = contact_rows(jv_q_derivatives(model, kin, v_plus)[0], v_plus)
+        penetrating = np.array([f.signed_distance < 0.0 for f in contacts])
+        gain = (1.0 - params.baumgarte_kp * penetrating) / dt
+        rows[:, 2] += gain[:, None] * packs.dphi_dq
         if kd != 0.0:
-            dJv_now = np.concatenate([jv_q_derivatives(model, kin, v)[0], env])
-        for i, (frame, pack) in enumerate(zip(contacts, packs)):
-            rows = contact_rows(dJv_plus, frame, pack, v_plus)
-            gain = (1.0 - params.baumgarte_kp * (1.0 if frame.signed_distance < 0.0 else 0.0)) / dt
-            rows[2] += gain * pack.dphi_dq
-            if kd != 0.0:
-                rows -= kd * contact_rows(dJv_now, frame, pack, v)
-            rhs["q"][3 * i : 3 * i + 3] += rows
+            rows -= kd * contact_rows(jv_q_derivatives(model, kin, v)[0], v)
+        rhs["q"] += rows.reshape(-1, nv)
     if "v" in smooth and kd != 0.0:
         rhs["v"] -= kd * result.J_c
     return dvp, rhs
@@ -300,13 +304,11 @@ def _mu_impulse_direction(model, result, cols) -> np.ndarray:
         k = pair_index[frame.pair]
         if sol.modes[i] is not Mode.SLIDING or k not in cols:
             continue
-        col = cols.index(k)
         mu = frame.friction
         lam_n = sol.lam[3 * i + 2]
         sig = sol.sigma[3 * i : 3 * i + 3]
         u = sig[:2] / np.hypot(sig[0], sig[1])
-        p_dir[3 * i : 3 * i + 2, col] = -lam_n / (1.0 + mu * mu) * u
-        p_dir[3 * i + 2, col] = -lam_n / (1.0 + mu * mu) * mu
+        p_dir[3 * i : 3 * i + 3, cols.index(k)] = -lam_n / (1.0 + mu * mu) * np.append(u, mu)
     return p_dir
 
 

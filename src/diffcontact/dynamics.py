@@ -106,10 +106,6 @@ class DynamicsData:
     Vp: np.ndarray     # (nb, 6) parent twists, zero at a root
     Xi: np.ndarray     # (nb, 6) velocity-product accelerations
 
-    def body_jacobian(self, body: int) -> np.ndarray:
-        """World Jacobian (6, nv) of a body; zero for the environment (-1)."""
-        return self.J[body] if body >= 0 else np.zeros(self.J.shape[1:])
-
     def solve(self, X: np.ndarray) -> np.ndarray:
         """M^-1 X via the cached Cholesky factor."""
         return cho_solve(self._chol, X)

@@ -16,7 +16,8 @@ import numpy as np
 
 from .derivatives import StepJacobian, _parse_theta
 from .model import KinematicModel, difference, integrate
-from .simulator import SimParams, SimState, _check_rollout_theta, rollout, step
+from .simulator import (SimParams, SimState, _check_rollout_theta, _keyed_impulses,
+                        _tau_sequence, rollout, step)
 
 
 def _basis(n: int, k: int) -> np.ndarray:
@@ -40,14 +41,6 @@ def with_pair_mu(model: KinematicModel, pair_index: int, mu: float) -> Kinematic
     pairs[pair_index] = dataclasses.replace(pairs[pair_index], mu=mu)
     return KinematicModel(model.joints, model.inertias, model.geometries, pairs,
                           gravity=model.gravity, actuated=model.actuated, name=model.name)
-
-
-def _aligned_lam(result, base_contacts) -> np.ndarray:
-    keyed = result.warm_start()
-    out = np.zeros(3 * len(base_contacts))
-    for i, f in enumerate(base_contacts):
-        out[3 * i : 3 * i + 3] = keyed.get((f.pair, f.feature), 0.0)
-    return out
 
 
 def fd_step_jacobian(model: KinematicModel, state: SimState, tau=None,
@@ -86,7 +79,8 @@ def fd_step_jacobian(model: KinematicModel, state: SimState, tau=None,
             diffs.append((res_p.state.v - res_m.state.v,
                           difference(model, q_plus, res_p.state.q)
                           - difference(model, q_plus, res_m.state.q),
-                          _aligned_lam(res_p, base.contacts) - _aligned_lam(res_m, base.contacts)))
+                          _keyed_impulses(res_p.warm_start(), base.contacts)
+                          - _keyed_impulses(res_m.warm_start(), base.contacts)))
         out.dv[t], out.dq[t], out.dlam[t] = (np.stack(d, axis=1) / (2 * eps) for d in zip(*diffs))
     return out
 
@@ -102,40 +96,23 @@ def fd_rollout_jacobian(model: KinematicModel, state0: SimState, tau_seq=None,
     q_T = base[-1].state.q
     nv = model.nv
 
-    def final(state, mdl=model, taus=tau_seq):
-        res = rollout(mdl, state, taus, horizon, params)
-        return res[-1].state
+    def final(k, s):
+        """Final state of the rollout with column k of theta moved by s."""
+        mdl, state, taus = model, state0, tau_seq
+        if theta == "mu":
+            mdl = with_pair_mu(model, mu_pair, model.pairs[mu_pair].mu + s)
+        elif theta == "tau0":
+            taus = _tau_sequence(tau_seq, horizon, nv)
+            taus[0, k] += s / params.dt
+        else:
+            state = perturb_state(model, state0, theta[0], k, s)
+        return rollout(mdl, state, taus, horizon, params)[-1].state
 
-    if theta == "mu":
-        mu0 = model.pairs[mu_pair].mu
-        s_p = final(state0, mdl=with_pair_mu(model, mu_pair, mu0 + eps))
-        s_m = final(state0, mdl=with_pair_mu(model, mu_pair, mu0 - eps))
-        dq = ((difference(model, q_T, s_p.q) - difference(model, q_T, s_m.q)) / (2 * eps))
-        dv = (s_p.v - s_m.v) / (2 * eps)
-        return dq.reshape(-1, 1), dv.reshape(-1, 1)
-
-    ncols = nv
+    ncols = 1 if theta == "mu" else nv
     dq = np.zeros((nv, ncols))
     dv = np.zeros((nv, ncols))
     for k in range(ncols):
-        if theta == "q0":
-            s_p = final(perturb_state(model, state0, "q", k, eps))
-            s_m = final(perturb_state(model, state0, "q", k, -eps))
-        elif theta == "v0":
-            s_p = final(perturb_state(model, state0, "v", k, eps))
-            s_m = final(perturb_state(model, state0, "v", k, -eps))
-        else:  # "tau0"
-            if tau_seq is None:
-                taus = np.zeros((horizon, nv))
-            else:
-                taus = np.broadcast_to(np.asarray(tau_seq, dtype=float),
-                                       (horizon, nv)).copy()
-            tp = taus.copy()
-            tp[0, k] += eps / params.dt
-            tm = taus.copy()
-            tm[0, k] -= eps / params.dt
-            s_p = final(state0, taus=tp)
-            s_m = final(state0, taus=tm)
+        s_p, s_m = final(k, eps), final(k, -eps)
         dq[:, k] = (difference(model, q_T, s_p.q) - difference(model, q_T, s_m.q)) / (2 * eps)
         dv[:, k] = (s_p.v - s_m.v) / (2 * eps)
     return dq, dv

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .model import KinematicModel, difference, difference_jacobian
-from .simulator import SimParams, SimState, rollout, rollout_jacobian, step
+from .simulator import SimParams, SimState, _tau_sequence, rollout, rollout_jacobian, step
 
 _STALL_LIMIT = 10
 
@@ -125,9 +125,7 @@ def estimate_initial_conditions(model: KinematicModel, state0: SimState, target_
     def unpack(theta):
         if theta_kind == "v0":
             return SimState(state0.q.copy(), theta.copy()), tau_seq
-        taus = np.zeros((horizon, model.nv)) if tau_seq is None else \
-            np.broadcast_to(np.asarray(tau_seq, dtype=float), (horizon, model.nv)).copy()
-        taus = taus.copy()
+        taus = _tau_sequence(tau_seq, horizon, model.nv)
         taus[0] += theta / params.dt
         return state0.copy(), taus
 

@@ -31,6 +31,7 @@ import numpy as np
 
 from .spatial import (
     Placement,
+    adjoint,
     adjoint_inverse,
     motion_cross,
     motion_cross_cols,
@@ -317,9 +318,7 @@ def compute_kinematics(model: KinematicModel, q: np.ndarray) -> Kinematics:
         p[dst] = (Rs @ p[dst, :, None])[:, :, 0] + p[src]
         R[dst] = Rs @ R[dst]
 
-    X = np.zeros((model.nb, 6, 6))  # adjoint of every body placement
-    X[:, :3, :3] = X[:, 3:, 3:] = R
-    X[:, 3:, :3] = skew(p) @ R
+    X = adjoint(Placement(R, p))
     psi = np.ascontiguousarray((X[model._col_body] @ model._subspace)[:, :, 0].T)
 
     geom_placements = [g.placement for g in model.geometries]

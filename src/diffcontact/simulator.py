@@ -20,8 +20,8 @@ import numpy as np
 from .collision import narrow_phase
 from .contact import ContactProblem, ContactSolution, ModeThresholds, solve_ncp
 from .dynamics import DynamicsData, compute_dynamics
-from .model import KinematicModel, compute_kinematics, integrate
-from .spatial import adjoint_inverse
+from .model import KinematicModel, _stack_placements, compute_kinematics, integrate
+from .spatial import Placement, adjoint_inverse
 
 log = logging.getLogger("diffcontact")
 
@@ -91,6 +91,12 @@ class StepResult:
         }
 
 
+def _keyed_impulses(keyed: dict, contacts) -> np.ndarray:
+    """Impulses (3n,) of contacts looked up by (pair, feature) in a
+    StepResult.warm_start dict; zero for a contact it does not hold."""
+    return np.array([keyed.get((f.pair, f.feature), np.zeros(3)) for f in contacts]).reshape(-1)
+
+
 def detect_contacts(model: KinematicModel, kin, margin: float) -> list:
     """Narrow phase over the declared pairs; frames carry pair, bodies and
     friction so downstream code never re-resolves them."""
@@ -112,15 +118,28 @@ def detect_contacts(model: KinematicModel, kin, margin: float) -> list:
     return contacts
 
 
+def _body_rows(A: np.ndarray, bodies) -> np.ndarray:
+    """A[b] for each body index b of a per-body stack A; zero for the environment (-1)."""
+    bodies = np.asarray(bodies, dtype=int)
+    rows = A[bodies]
+    rows[bodies < 0] = 0.0
+    return rows
+
+
+def contact_frame_jacobians(dyn: DynamicsData, contacts):
+    """Stacked inverse adjoints (n, 6, 6) of the contact frames and the
+    relative twist Jacobians (n, 6, nv) of body 1 against body 2 in those
+    frames, read off the body Jacobians of dyn."""
+    Xc_inv = adjoint_inverse(Placement(*_stack_placements(f.placement for f in contacts)))
+    b1, b2 = [f.body1 for f in contacts], [f.body2 for f in contacts]
+    return Xc_inv, Xc_inv @ (_body_rows(dyn.J, b1) - _body_rows(dyn.J, b2))
+
+
 def contact_jacobian(model: KinematicModel, dyn: DynamicsData, contacts) -> np.ndarray:
     """Stacked (3n, nv) map from joint velocities to contact-frame linear
     relative velocities (body 1 relative to body 2), from the body
     Jacobians of dyn."""
-    J = np.zeros((3 * len(contacts), model.nv))
-    for i, f in enumerate(contacts):
-        J6 = dyn.body_jacobian(f.body1) - dyn.body_jacobian(f.body2)
-        J[3 * i : 3 * i + 3] = (adjoint_inverse(f.placement) @ J6)[3:]
-    return J
+    return contact_frame_jacobians(dyn, contacts)[1][:, 3:].reshape(-1, model.nv)
 
 
 def step(model: KinematicModel, state: SimState, tau=None, params: SimParams | None = None,
@@ -146,18 +165,13 @@ def step(model: KinematicModel, state: SimState, tau=None, params: SimParams | N
     G = J_c @ dyn.solve(J_c.T)
     G = 0.5 * (G + G.T)
     g = J_c @ v_free
-    for i, f in enumerate(contacts):
-        phi_rate = f.signed_distance / dt
-        g[3 * i + 2] += phi_rate - params.baumgarte_kp * min(phi_rate, 0.0)
+    phi_rate = np.array([f.signed_distance for f in contacts]) / dt
+    g[2::3] += phi_rate - params.baumgarte_kp * np.minimum(phi_rate, 0.0)
     if params.baumgarte_kd != 0.0:
         g -= params.baumgarte_kd * (J_c @ state.v)
 
     mu = np.array([f.friction for f in contacts])
-    lam0 = None
-    if warm_start:
-        lam0 = np.zeros(3 * len(contacts))
-        for i, f in enumerate(contacts):
-            lam0[3 * i : 3 * i + 3] = warm_start.get((f.pair, f.feature), 0.0)
+    lam0 = _keyed_impulses(warm_start, contacts) if warm_start else None
     problem = ContactProblem(G=G, g=g, mu=mu)
     solution = solve_ncp(problem, tol=params.ncp_tol, max_iters=params.ncp_max_iters,
                          warm_start=lam0, thresholds=params.thresholds)
@@ -177,6 +191,13 @@ def _tau_at(tau_seq, t: int, nv: int) -> np.ndarray:
     if arr.ndim == 1:
         return arr
     return arr[t]
+
+
+def _tau_sequence(tau_seq, horizon: int, nv: int) -> np.ndarray:
+    """tau_seq as a new (horizon, nv) array; None gives zeros, one vector every row."""
+    if tau_seq is None:
+        return np.zeros((horizon, nv))
+    return np.broadcast_to(np.asarray(tau_seq, dtype=float), (horizon, nv)).copy()
 
 
 def rollout(model: KinematicModel, state0: SimState, tau_seq=None, horizon: int = 1,

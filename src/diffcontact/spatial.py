@@ -32,7 +32,8 @@ def unskew(S: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Placement:
-    """Rigid placement: rotation matrix and translation vector."""
+    """Rigid placement: rotation matrix and translation vector. `inverse` and
+    the adjoints also take stacks: rotations (..., 3, 3), translations (..., 3)."""
 
     rotation: np.ndarray
     translation: np.ndarray
@@ -48,8 +49,8 @@ class Placement:
         )
 
     def inverse(self) -> "Placement":
-        Rt = self.rotation.T
-        return Placement(Rt, -Rt @ self.translation)
+        Rt = np.swapaxes(self.rotation, -1, -2)
+        return Placement(Rt, ((-Rt) @ self.translation[..., None])[..., 0])
 
     def act(self, point: np.ndarray) -> np.ndarray:
         return self.rotation @ point + self.translation
@@ -60,12 +61,13 @@ class Placement:
 
 
 def adjoint(M: Placement) -> np.ndarray:
-    """6x6 adjoint of a placement; maps local motions to world motions."""
+    """6x6 adjoint of a placement; maps local motions to world motions.
+    Stacked for rotations (..., 3, 3) and translations (..., 3)."""
     R = M.rotation
-    X = np.zeros((6, 6))
-    X[:3, :3] = R
-    X[3:, 3:] = R
-    X[3:, :3] = skew(M.translation) @ R
+    X = np.zeros(R.shape[:-2] + (6, 6))
+    X[..., :3, :3] = R
+    X[..., 3:, 3:] = R
+    X[..., 3:, :3] = skew(M.translation) @ R
     return X
 
 

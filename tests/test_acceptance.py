@@ -333,16 +333,19 @@ def test_criterion_4_collision_correction_adjointness():
     params = tight_params()
     res = step(model, state, None, params)
     packs = _contact_packs(model, res.dyn, res.contacts)
-    assert packs
+    n = len(res.contacts)
+    assert n
     gen = np.random.default_rng(77)
     n_triples, worst = 0, 0.0
     while n_triples < 100:
-        for pack in packs:
+        for i in range(n):
             lam_c = gen.normal(size=3)
             w = gen.normal(size=model.nv)
             dq = gen.normal(size=model.nv)
-            lhs = float((collision_correction_jtl(pack, lam_c) @ dq) @ w)
-            rhs = float(lam_c @ (collision_correction_jv(pack, w) @ dq))
+            lam = np.zeros(3 * n)
+            lam[3 * i : 3 * i + 3] = lam_c
+            lhs = float((collision_correction_jtl(packs, lam) @ dq) @ w)
+            rhs = float(lam_c @ (collision_correction_jv(packs, w)[i] @ dq))
             gap = abs(lhs - rhs) / max(1.0, abs(lhs))
             worst = max(worst, gap)
             assert gap <= 1e-10

@@ -225,6 +225,23 @@ def test_solve_inverse_requires_target(capsys):
     assert "--target" in err
 
 
+@pytest.mark.parametrize("problem, target", [
+    ("invdyn", ""),
+    ("invdyn", "0,0,0,0,0,zero\n"),
+    ("invdyn", "0,0,0\n"),
+    ("estimate-v0", "1," + ",".join(["nan?"] * 20) + "\n"),
+], ids=["invdyn-empty", "invdyn-non-numeric", "invdyn-short", "estimate-v0-non-numeric"])
+def test_solve_inverse_bad_target_exits_2(tmp_path, capsys, problem, target):
+    """An empty, short or non-numeric target file is reported as an error
+    with exit code 2, not a traceback."""
+    path = tmp_path / "target.csv"
+    path.write_text(target)
+    code, _, err = run(["solve-inverse", "--scene", "cube_slide", "--problem", problem,
+                        "--target", str(path)], capsys)
+    assert code == 2
+    assert err.startswith("error: ")
+
+
 def test_solve_inverse_invdyn_fourleg(tmp_path, capsys):
     trace_csv = tmp_path / "trace.csv"
     code, out, _ = run(

@@ -154,6 +154,44 @@ def test_box_patch_builds_one_frame_rotation(monkeypatch):
     assert calls == []
 
 
+def _box_corners_by_loop(b, h, M1, M2):
+    """(point, phi, feature) of each box corner, one corner at a time in
+    (sa, sb) order: the reference for the stacked corner computation."""
+    n = M2.rotation @ h.normal
+    n_body = M1.rotation.T @ n
+    k = int(np.argsort(-np.abs(n_body))[0])
+    free = [a for a in range(3) if a != k]
+    he = b.half_extents
+    out = []
+    for sa in (-1.0, 1.0):
+        for sb in (-1.0, 1.0):
+            x = np.empty(3)
+            x[k] = -np.sign(n_body[k]) * he[k]
+            x[free[0]] = sa * he[free[0]]
+            x[free[1]] = sb * he[free[1]]
+            w = M1.translation + M1.rotation @ x
+            phi = float(n @ (w - M2.translation) - h.offset)
+            out.append((w - phi * n, phi, int((x[0] > 0) + 2 * (x[1] > 0) + 4 * (x[2] > 0))))
+    return out
+
+
+def test_box_corners_match_per_corner_loop():
+    """The stacked corner computation gives the bits, order and features of
+    the per-corner loop on random boxes, planes and placements."""
+    gen = np.random.default_rng(5)
+    for _ in range(200):
+        b = Box(gen.uniform(0.01, 1.0, 3))
+        nrm = gen.normal(size=3)
+        h = Halfspace(nrm / np.linalg.norm(nrm), float(gen.normal()))
+        M1, M2 = se3_exp(gen.uniform(-3, 3, 6)), se3_exp(gen.uniform(-1, 1, 6))
+        frames = narrow_phase(b, h, M1, M2, margin=np.inf)
+        expected = _box_corners_by_loop(b, h, M1, M2)
+        assert len(frames) == len(expected) == 4
+        for f, (p, phi, feature) in zip(frames, expected):
+            assert np.array_equal(f.point, p)
+            assert f.signed_distance == phi and f.feature == feature
+
+
 def test_box_patch_feature_ids_stable_under_jitter():
     b = Box(np.array([0.1, 0.1, 0.1]))
     base = narrow_phase(b, GROUND, placement_at([0, 0, 0.09998]), Placement.identity())

@@ -114,6 +114,44 @@ def test_adjoint_inverse_and_dual():
         np.testing.assert_allclose(adjoint_dual(M), np.linalg.inv(adjoint(M)).T, atol=1e-11)
 
 
+def _adjoint_by_blocks(R, t):
+    """The adjoint of one placement written out block by block."""
+    X = np.zeros((6, 6))
+    X[:3, :3] = R
+    X[3:, 3:] = R
+    X[3:, :3] = skew(t) @ R
+    return X
+
+
+def test_single_placement_adjoints_match_block_formulas():
+    """One placement gives the same bits as the unstacked formulas:
+    inverse (R^T, -R^T t) and the block-by-block adjoints."""
+    for _ in range(20):
+        M = random_placement(rng)
+        R, t = M.rotation, M.translation
+        Rt = R.T
+        np.testing.assert_array_equal(M.inverse().rotation, Rt)
+        np.testing.assert_array_equal(M.inverse().translation, -Rt @ t)
+        np.testing.assert_array_equal(adjoint(M), _adjoint_by_blocks(R, t))
+        np.testing.assert_array_equal(adjoint_inverse(M), _adjoint_by_blocks(Rt, -Rt @ t))
+
+
+def test_stacked_adjoints_match_each_placement():
+    """Stacked rotations (..., 3, 3) and translations (..., 3) give, slice by
+    slice, the bits of the single-placement results."""
+    Ms = [random_placement(rng) for _ in range(6)]
+    stack = Placement(np.array([M.rotation for M in Ms]), np.array([M.translation for M in Ms]))
+    inv, X, X_inv = stack.inverse(), adjoint(stack), adjoint_inverse(stack)
+    assert X.shape == X_inv.shape == (6, 6, 6)
+    for i, M in enumerate(Ms):
+        np.testing.assert_array_equal(inv.rotation[i], M.inverse().rotation)
+        np.testing.assert_array_equal(inv.translation[i], M.inverse().translation)
+        np.testing.assert_array_equal(X[i], adjoint(M))
+        np.testing.assert_array_equal(X_inv[i], adjoint_inverse(M))
+    grid = Placement(stack.rotation.reshape(2, 3, 3, 3), stack.translation.reshape(2, 3, 3))
+    np.testing.assert_array_equal(adjoint_inverse(grid).reshape(6, 6, 6), X_inv)
+
+
 def test_adjoint_of_exponential_is_exponential_of_ad():
     for _ in range(10):
         xi = rng.uniform(-1, 1, 6)

@@ -35,9 +35,9 @@ def test_traced_names_exist(tracing):
     assert not missing, missing
 
 
-def test_traced_step_jacobian_builds_no_dynamics(tracing):
-    """Under the installed tracer, a step and its Jacobian run compute_dynamics
-    once between them: the Jacobian reuses the step's."""
+def _traced_step_and_jacobian(tracing):
+    """The tracer and step result of one traced step and its Jacobian
+    (theta="all") on cube_slide."""
     model, state, params = load_scene("cube_slide")
     patches = tracing.Patches()
     tracer = tracing.Tracer()
@@ -47,9 +47,26 @@ def test_traced_step_jacobian_builds_no_dynamics(tracing):
         derivatives.step_jacobian(model, state, None, params, res, theta="all")
     finally:
         patches.restore()
+    return tracer, res
+
+
+def test_traced_step_jacobian_builds_no_dynamics(tracing):
+    """Under the installed tracer, a step and its Jacobian run compute_dynamics
+    once between them: the Jacobian reuses the step's."""
+    tracer, _ = _traced_step_and_jacobian(tracing)
     assert tracer.calls("dynamics.compute_dynamics") == 1
     assert tracer.calls("model.compute_kinematics") == 1
     assert tracer.calls("derivatives.step_jacobian") == 1
+
+
+def test_traced_step_and_jacobian_build_the_contact_layer_once(tracing):
+    """The step builds the contact Jacobian once and the Jacobian builds the
+    contact packs once. The packs read the frame Jacobians through their
+    own helper, so the contact_jacobian span times the step alone."""
+    tracer, res = _traced_step_and_jacobian(tracing)
+    assert res.contacts
+    assert tracer.calls("simulator.contact_jacobian") == 1
+    assert tracer.calls("derivatives.contact_packs") == 1
 
 
 def test_traced_step_records_one_narrow_phase_span_per_pair(tracing):
