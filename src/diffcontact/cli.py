@@ -331,9 +331,12 @@ def _read_target(path, count: int, start: int = 0):
     (after a "step" header row, if any), and the number of data rows. A v*
     row (start 0) holds exactly count values, a trajectory row (start 1,
     after the step index) at least 1 + count; anything else, no data row
-    or a non-numeric entry raises SceneError."""
-    with open(path) as fh:
-        rows = [r for r in csv.reader(fh) if r]
+    or a non-numeric entry raises SceneError, as does a file that cannot be opened."""
+    try:
+        with open(path) as fh:
+            rows = [r for r in csv.reader(fh) if r]
+    except OSError as exc:
+        raise SceneError(f"target file {path}: {exc.strerror}") from exc
     if rows and rows[0][0] == "step":
         rows = rows[1:]
     if not rows:

@@ -10,9 +10,10 @@ Active contacts couple through the Delassus matrix into one reduced linear
 system A X = -B rhs with A = B G C + diag(Q) and dlambda = C X; B stacks
 identity rows (sticking) and R^T P rows (sliding), C the matching columns.
 Frictionless (mu = 0) active contacts reduce to their normal row alone.
-A is factored once per step and every theta block (q, v, tau, mu) solves
-with those factors. For mu, rhs = G p with p the impulse direction along
-the sliding cone at fixed sigma, and p is added back to the solved dlambda.
+A is factored once per step by an SVD cut at _RANK_RTOL, and every theta
+block (q, v, tau, mu) solves with those factors. For mu, rhs = G p with p
+the impulse direction along the sliding cone at fixed sigma, and p is
+added back to the solved dlambda.
 
 The right-hand side rhs = dG lambda + dg is the derivative of the contact
 velocity at frozen impulse; it collects the smooth-dynamics partials, the
@@ -27,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import qr, solve_triangular
+from numpy.linalg import svd
 
 from . import collision as co
 from .contact import ContactProblem, ContactSolution, Mode
@@ -46,10 +47,10 @@ from .simulator import _body_rows, contact_frame_jacobians
 from .spatial import motion_cross, p_operator
 
 
-# Relative cutoff on the reduced system A: the QR rank test flags the active
-# set as redundant when a diagonal entry of R falls below it, and the least
-# squares solve then drops the singular values below it, so round-off in a
-# redundant direction is never inverted.
+# Relative cutoff on the singular values of the reduced system A: the solve
+# drops every value at or below it times the largest, and the active set is
+# flagged redundant exactly when it drops one, so round-off in a redundant
+# direction is never inverted.
 _RANK_RTOL = 1e-12
 
 
@@ -88,13 +89,15 @@ def sliding_basis(lam_c: np.ndarray, sigma_c: np.ndarray, mu: float) -> SlidingB
 @dataclass
 class ReducedSystem:
     """Mode-reduced implicit system A X = -B rhs on the active contacts, with
-    dlambda = C X. A is factored once, with its rank decision."""
+    dlambda = C X. A = U diag(s) Vt is factored once, with its rank decision."""
 
     A: np.ndarray      # (m, m) B G C + diag(Q)
     B: np.ndarray      # (m, 3n)
     C: np.ndarray      # (3n, m)
-    QR: tuple          # (Q, R) factors of A
-    deficient: bool    # redundant active set: solves fall back to least squares
+    U: np.ndarray      # (m, m)
+    Vt: np.ndarray     # (m, m)
+    s_inv: np.ndarray  # (m,) 1/s on the kept singular values, 0 on the cut ones
+    deficient: bool    # redundant active set: a singular value was cut
 
     @property
     def size(self) -> int:
@@ -127,23 +130,18 @@ def assemble_reduced_system(problem: ContactProblem, solution: ContactSolution) 
             off += 3
     B, C = B[:off], C[:, :off]
     A = B @ problem.G @ C + np.diag(Q[:off])
-    factors = qr(A)
-    diag = np.abs(np.diag(factors[1]))
-    deficient = bool(diag.min(initial=np.inf) <= _RANK_RTOL * max(diag.max(initial=0.0), 1e-300))
-    return ReducedSystem(A=A, B=B, C=C, QR=factors, deficient=deficient)
+    U, s, Vt = svd(A)
+    keep = s > _RANK_RTOL * s.max(initial=0.0)
+    s_inv = np.divide(1.0, s, out=np.zeros_like(s), where=keep)
+    return ReducedSystem(A=A, B=B, C=C, U=U, Vt=Vt, s_inv=s_inv, deficient=not keep.all())
 
 
 def solve_reduced(rs: ReducedSystem, rhs: np.ndarray):
-    """dlambda = C X with A X = -B rhs, from the stored QR factors, or by least
-    squares when the active set is redundant (returns the flag). The
-    expanded impulse derivative is unique in J_c^T dlambda even when
-    dlambda itself is not."""
-    reduced = -(rs.B @ rhs)
-    if rs.deficient:
-        X = np.linalg.lstsq(rs.A, reduced, rcond=_RANK_RTOL)[0]
-    else:
-        Q, R = rs.QR
-        X = solve_triangular(R, Q.T @ reduced)
+    """dlambda = C X with X = Vt^T diag(s_inv) U^T (-B rhs), the minimum-norm
+    solution of A X = -B rhs on the kept singular values; returns it with
+    the rank flag. The expanded impulse derivative is unique in
+    J_c^T dlambda even when dlambda itself is not."""
+    X = rs.Vt.T @ (rs.s_inv[:, None] * (rs.U.T @ -(rs.B @ rhs)))
     return rs.C @ X, rs.deficient
 
 
@@ -267,7 +265,7 @@ def _frozen_impulse_rhs(model, state, params, result, smooth):
             np.add.at(wrenches, np.stack([b1, b2], axis=1).ravel(),
                       np.stack([phi_w, -phi_w], axis=1).reshape(-1, 6))
             JTL = collision_correction_jtl(packs, lam)
-            dvp["q"] += dyn.solve(applied_wrench_q_derivative(model, kin, wrenches[:-1]) + JTL)
+            dvp["q"] += dyn.solve(applied_wrench_q_derivative(model, dyn, wrenches[:-1]) + JTL)
     if "v" in smooth:
         dvp["v"] = np.eye(nv) - dt * dyn.solve(dID_v)
     if "tau" in smooth:

@@ -161,14 +161,13 @@ def id_state_derivatives(model: KinematicModel, dyn: DynamicsData, a):
     df = (dI(ahat) + Fv @ dI(V)) @ J + Iw @ (dJa + dXi) + K @ dJv
     f = _body_wrenches(Iw, V, ahat)
     Jt = _rows(J).T
-    dID_q = Jt @ _rows(df) + (Jt @ _rows(p_operator(f) @ kin.psi)) * model.row_support
+    dID_q = Jt @ _rows(df) + applied_wrench_q_derivative(model, dyn, f)
     return dID_q, Jt @ _rows(Iw @ Xi_v + K @ J)
 
 
-def applied_wrench_q_derivative(model: KinematicModel, kin: Kinematics, wrenches) -> np.ndarray:
-    """d/dq of sum_b J_b^T phi_b for constant world wrenches phi_b, (nb, 6)."""
-    J = kin.psi * model.support.T[:, None, :]
-    return (_rows(J).T @ _rows(p_operator(wrenches) @ kin.psi)) * model.row_support
+def applied_wrench_q_derivative(model: KinematicModel, dyn: DynamicsData, wrenches) -> np.ndarray:
+    """d/dq of sum_b J_b^T phi_b for constant world wrenches phi_b (nb, 6), on dyn.J."""
+    return (_rows(dyn.J).T @ _rows(p_operator(wrenches) @ dyn.kin.psi)) * model.row_support
 
 
 def kinetic_energy(model: KinematicModel, q, v) -> float:

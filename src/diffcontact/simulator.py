@@ -194,10 +194,12 @@ def _tau_at(tau_seq, t: int, nv: int) -> np.ndarray:
 
 
 def _tau_sequence(tau_seq, horizon: int, nv: int) -> np.ndarray:
-    """tau_seq as a new (horizon, nv) array; None gives zeros, one vector every row."""
+    """The first `horizon` rows of tau_seq as a new (horizon, nv) array, as
+    rollout reads them; None gives zeros, one vector every row."""
     if tau_seq is None:
         return np.zeros((horizon, nv))
-    return np.broadcast_to(np.asarray(tau_seq, dtype=float), (horizon, nv)).copy()
+    arr = np.asarray(tau_seq, dtype=float)
+    return np.broadcast_to(arr[:horizon] if arr.ndim == 2 else arr, (horizon, nv)).copy()
 
 
 def rollout(model: KinematicModel, state0: SimState, tau_seq=None, horizon: int = 1,

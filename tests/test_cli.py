@@ -230,12 +230,15 @@ def test_solve_inverse_requires_target(capsys):
     ("invdyn", "0,0,0,0,0,zero\n"),
     ("invdyn", "0,0,0\n"),
     ("estimate-v0", "1," + ",".join(["nan?"] * 20) + "\n"),
-], ids=["invdyn-empty", "invdyn-non-numeric", "invdyn-short", "estimate-v0-non-numeric"])
+    ("invdyn", None),
+], ids=["invdyn-empty", "invdyn-non-numeric", "invdyn-short", "estimate-v0-non-numeric",
+        "invdyn-missing"])
 def test_solve_inverse_bad_target_exits_2(tmp_path, capsys, problem, target):
-    """An empty, short or non-numeric target file is reported as an error
-    with exit code 2, not a traceback."""
+    """An empty, short, non-numeric or missing (None) target file is
+    reported as an error with exit code 2, not a traceback."""
     path = tmp_path / "target.csv"
-    path.write_text(target)
+    if target is not None:
+        path.write_text(target)
     code, _, err = run(["solve-inverse", "--scene", "cube_slide", "--problem", problem,
                         "--target", str(path)], capsys)
     assert code == 2

@@ -4,7 +4,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from scipy.linalg import qr
+from numpy.linalg import svd
 
 from conftest import (
     chain_model,
@@ -41,7 +41,7 @@ from diffcontact.model import (
     integrate,
     integrate_jacobians,
 )
-from diffcontact.simulator import SimState, contact_jacobian, detect_contacts, step
+from diffcontact.simulator import SimState, contact_jacobian, detect_contacts, rollout, step
 from diffcontact.spatial import Placement
 
 
@@ -219,7 +219,7 @@ def test_step_jacobian_reuses_step_dynamics(monkeypatch):
 
 
 def test_reduced_system_factored_once_per_step_jacobian(monkeypatch):
-    """Every theta block solves with the one QR of A made per call."""
+    """Every theta block solves with the one SVD of A made per call."""
     model, state, params = load_scene("cube_slide")
     res = step(model, state, None, params)
     assert res.contacts
@@ -227,9 +227,9 @@ def test_reduced_system_factored_once_per_step_jacobian(monkeypatch):
 
     def counting(*args, **kwargs):
         calls.append(1)
-        return qr(*args, **kwargs)
+        return svd(*args, **kwargs)
 
-    monkeypatch.setattr(derivatives, "qr", counting)
+    monkeypatch.setattr(derivatives, "svd", counting)
     step_jacobian(model, state, None, params, res, theta=["q", "v", "tau", "mu"])
     assert len(calls) == 1
 
@@ -546,6 +546,23 @@ def test_redundant_sticking_set_matches_pseudoinverse_closed_form():
             for got, want in ((jac.dv[t], dv), (jac.dq[t], dt * Dd @ dv)):
                 assert np.abs(got - want).max() <= 1e-9 * max(1.0, np.abs(want).max()), t
         state, warm = res.state, res.warm_start()
+
+
+def test_sliding_box_patch_is_flagged_and_matches_fd():
+    # cube_slide slides on its four bottom corners: the reduced system has a
+    # redundant direction whose singular value is round-off. Cutting it flags
+    # the step; inverting that round-off instead puts dv 1.2e-4 off FD.
+    model, state, params = load_scene("cube_slide")
+    taus = 0.05 * np.random.default_rng(3).normal(size=(25, 6))
+    results = rollout(model, state, taus, 25, params)
+    base, res = results[3].state, results[4]
+    jac = step_jacobian(model, base, taus[4], params, res, theta=["q", "v", "tau"])
+    assert jac.rank_deficient
+    fd = fd_step_jacobian(model, base, taus[4], params, theta=["q", "v", "tau"], eps=1e-7,
+                          base=res)
+    for t in ("q", "v", "tau"):
+        err = np.abs(jac.dv[t] - fd.dv[t]).max() / max(1.0, np.abs(fd.dv[t]).max())
+        assert err <= 1e-5, (t, err)
 
 
 # -- frozen-impulse rhs and frame-variation corrections ----------------------

@@ -220,7 +220,7 @@ def test_applied_wrench_q_derivative_matches_fd():
     ]
     for m, wrenches in cases:
         q = random_config(m, rng)
-        D = applied_wrench_q_derivative(m, compute_kinematics(m, q), wrenches)
+        D = applied_wrench_q_derivative(m, dynamics_at(m, q), wrenches)
 
         def tau(dq):
             kin = compute_kinematics(m, integrate(m, q, dq))

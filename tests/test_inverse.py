@@ -11,7 +11,9 @@ from conftest import (
     sphere_model,
     tight_params,
 )
+from diffcontact.cli import load_scene
 from diffcontact.dynamics import compute_dynamics
+from diffcontact.fd import fd_rollout_jacobian
 from diffcontact.inverse import (
     GnSettings,
     GnTrace,
@@ -183,6 +185,23 @@ def test_recover_initial_impulse():
     )
     assert trace.converged
     np.testing.assert_allclose(theta, impulse_true, atol=1e-7)
+
+
+def test_tau0_reads_the_first_horizon_rows_of_a_longer_sequence():
+    """A torque sequence longer than the horizon acts as its first horizon
+    rows, as in rollout, for the FD rollout Jacobian and the estimate."""
+    model, state, params = load_scene("cube_slide")
+    taus = 0.05 * np.random.default_rng(3).normal(size=(4, 6))
+    target_q = rollout(model, state, taus, horizon=3, params=params)[-1].state.q
+    target_q[:3] += 1e-3
+    long, short = (estimate_initial_conditions(model, state, target_q, 3, params, "tau0",
+                                               GnSettings(max_iters=2), tau_seq=seq)
+                   for seq in (taus, taus[:3]))
+    assert np.array_equal(long[0], short[0])
+    assert long[1].objective == short[1].objective
+    long, short = (fd_rollout_jacobian(model, state, seq, 3, params, theta="tau0")
+                   for seq in (taus, taus[:3]))
+    assert all(np.array_equal(a, b) for a, b in zip(long, short))
 
 
 def test_fd_jacobian_variant_agrees():
