@@ -75,6 +75,8 @@ def _shape_from(kind: str, params: dict):
         return Halfspace(normal, float(params.get("offset", 0.0)))
     except KeyError as exc:
         raise SceneError(f"shape '{kind}' is missing parameter {exc}") from exc
+    except ValueError as exc:
+        raise SceneError(f"shape '{kind}': {exc}") from exc
 
 
 def scene_from_dict(doc: dict):
@@ -137,15 +139,14 @@ def scene_from_dict(doc: dict):
             actuated=doc.get("actuated"),
             name=doc.get("name", ""),
         )
+        initial = doc.get("initial", {})
+        q = np.asarray(initial.get("q", model.neutral_configuration()), dtype=float)
+        v = np.asarray(initial.get("v", np.zeros(model.nv)), dtype=float)
+        if q.shape != (model.nq,) or v.shape != (model.nv,):
+            raise SceneError(f"initial state must have nq={model.nq}, nv={model.nv} entries")
+        model.check_configuration(q)
     except ValueError as exc:
         raise SceneError(str(exc)) from exc
-
-    initial = doc.get("initial", {})
-    q = np.asarray(initial.get("q", model.neutral_configuration()), dtype=float)
-    v = np.asarray(initial.get("v", np.zeros(model.nv)), dtype=float)
-    if q.shape != (model.nq,) or v.shape != (model.nv,):
-        raise SceneError(f"initial state must have nq={model.nq}, nv={model.nv} entries")
-    model.check_configuration(q)
 
     pdoc = doc.get("params", {})
     allowed = {f.name for f in dataclass_fields(SimParams)} - {"thresholds"}

@@ -224,21 +224,11 @@ def classify_modes(problem: ContactProblem, lam: np.ndarray, sigma=None,
     converge to a consistent mode)."""
     if sigma is None:
         sigma = problem.G @ lam + problem.g
-    eps_lam = thresholds.lambda_threshold(problem)
-    modes = []
-    ambiguous = np.zeros(problem.n, dtype=bool)
-    for c in range(problem.n):
-        lc = lam[3 * c : 3 * c + 3]
-        sc = sigma[3 * c : 3 * c + 3]
-        mu = float(problem.mu[c])
-        if np.linalg.norm(lc) <= eps_lam:
-            modes.append(Mode.BREAKING)
-            continue
-        slip = np.hypot(sc[0], sc[1]) > thresholds.eps_slide
-        if mu > 0.0 and slip:
-            if np.hypot(lc[0], lc[1]) >= (1.0 - thresholds.eps_cone) * mu * lc[2]:
-                modes.append(Mode.SLIDING)
-                continue
-            ambiguous[c] = True
-        modes.append(Mode.STICKING)
-    return modes, ambiguous
+    L, S = np.reshape(lam, (-1, 3)), np.reshape(sigma, (-1, 3))
+    mu, eps_lam = np.asarray(problem.mu, dtype=float), thresholds.lambda_threshold(problem)
+    breaking = np.sqrt(L[:, None, :] @ L[:, :, None])[:, 0, 0] <= eps_lam
+    slip = ~breaking & (mu > 0.0) & (np.hypot(S[:, 0], S[:, 1]) > thresholds.eps_slide)
+    on_cone = np.hypot(L[:, 0], L[:, 1]) >= (1.0 - thresholds.eps_cone) * mu * L[:, 2]
+    modes = [Mode.BREAKING if b else Mode.SLIDING if s else Mode.STICKING
+             for b, s in zip(breaking.tolist(), (slip & on_cone).tolist())]
+    return modes, slip & ~on_cone

@@ -19,9 +19,10 @@ The right-hand side rhs = dG lambda + dg is the derivative of the contact
 velocity at frozen impulse; it collects the smooth-dynamics partials, the
 kinematic variation of the contact Jacobian at a fixed frame, the
 contact-frame variation (collision.frame_derivative of the step's own
-frames along the rows of its body Jacobians), and the stabilization terms.
-The contact packs are stacked along a leading contact axis around one batched
-inverse adjoint per step, so the wrench, correction and rhs terms are too.
+ContactSet along the rows of its body Jacobians, once per pair), and the
+stabilization terms. The contact packs are stacked along a leading contact
+axis around one batched inverse adjoint per step, so the wrench,
+correction and rhs terms are too.
 """
 from __future__ import annotations
 
@@ -63,26 +64,28 @@ class SlidingBasis:
     """Tangent-plane basis at a sliding impulse: columns of R are the
     impulse ray and the in-plane direction orthogonal to the slip."""
 
-    R: np.ndarray      # (3, 2)
-    P: np.ndarray      # (3, 3)
-    alpha: float
-    slip_dir: np.ndarray  # (2,) unit tangential slip direction u
+    R: np.ndarray      # (..., 3, 2)
+    P: np.ndarray      # (..., 3, 3)
+    alpha: np.ndarray  # (...)
+    slip_dir: np.ndarray  # (..., 2) unit tangential slip direction u
 
 
-def sliding_basis(lam_c: np.ndarray, sigma_c: np.ndarray, mu: float) -> SlidingBasis:
-    s_t = float(np.hypot(sigma_c[0], sigma_c[1]))
-    lam_norm = float(np.linalg.norm(lam_c))
-    if mu <= 0.0 or s_t < 1e-14 or mu * lam_c[2] < 1e-14:
+def sliding_basis(lam_c: np.ndarray, sigma_c: np.ndarray, mu) -> SlidingBasis:
+    """The basis at one contact (lam_c, sigma_c of shape (3,)) or at k
+    stacked ones ((k, 3), mu (k,)); SingularSlidingMode if any is degenerate."""
+    lam_c, sigma_c = np.asarray(lam_c, dtype=float), np.asarray(sigma_c, dtype=float)
+    s_t = np.hypot(sigma_c[..., 0], sigma_c[..., 1])
+    if ((mu <= 0.0) | (s_t < 1e-14) | (mu * lam_c[..., 2] < 1e-14)).any():
         raise SingularSlidingMode("sliding basis undefined: no slip or apex impulse")
-    u = sigma_c[:2] / s_t
-    alpha = s_t / (mu * float(lam_c[2]))
-    R = np.zeros((3, 2))
-    R[:, 0] = lam_c / lam_norm
-    R[0, 1] = -u[1]
-    R[1, 1] = u[0]
-    P = np.zeros((3, 3))
-    P[:2, :2] = (np.eye(2) - np.outer(u, u)) / alpha
-    P[2, 2] = 1.0
+    u = sigma_c[..., :2] / s_t[..., None]
+    alpha = s_t / (mu * lam_c[..., 2])
+    R = np.zeros(lam_c.shape + (2,))
+    R[..., 0] = lam_c / np.sqrt(lam_c[..., None, :] @ lam_c[..., None])[..., 0]
+    R[..., 0, 1] = -u[..., 1]
+    R[..., 1, 1] = u[..., 0]
+    P = np.zeros(lam_c.shape[:-1] + (3, 3))
+    P[..., :2, :2] = (np.eye(2) - u[..., :, None] * u[..., None, :]) / alpha[..., None, None]
+    P[..., 2, 2] = 1.0
     return SlidingBasis(R=R, P=P, alpha=alpha, slip_dir=u)
 
 
@@ -107,29 +110,27 @@ class ReducedSystem:
 def assemble_reduced_system(problem: ContactProblem, solution: ContactSolution) -> ReducedSystem:
     """Build A = B G C + diag(Q) over the non-breaking contacts: per contact,
     B rows and C columns I (sticking), R^T P and R (sliding, with Q =
-    diag(0, 1)) or e_z^T and e_z (frictionless)."""
-    n3 = 3 * problem.n
-    B, C, Q = np.zeros((n3, n3)), np.zeros((n3, n3)), np.zeros(n3)
-    off = 0
-    for c, mode in enumerate(solution.modes):
-        if mode is Mode.BREAKING:
-            continue
-        i = 3 * c
-        if mode is Mode.SLIDING:
-            basis = sliding_basis(solution.lam[i : i + 3], solution.sigma[i : i + 3],
-                                  float(problem.mu[c]))
-            B[off : off + 2, i : i + 3] = basis.R.T @ basis.P
-            C[i : i + 3, off : off + 2] = basis.R
-            Q[off + 1] = 1.0
-            off += 2
-        elif problem.mu[c] == 0.0:
-            B[off, i + 2] = C[i + 2, off] = 1.0
-            off += 1
-        else:
-            B[off : off + 3, i : i + 3] = C[i : i + 3, off : off + 3] = np.eye(3)
-            off += 3
-    B, C = B[:off], C[:, :off]
-    A = B @ problem.G @ C + np.diag(Q[:off])
+    diag(0, 1)) or e_z^T and e_z (frictionless), in contact order. Each
+    contact fills a 3x3 block, and the block rows its mode does not use are cut:
+    all of a breaking contact, the tangent rows of a frictionless one and the
+    last of a sliding one."""
+    n, tangent = problem.n, np.array([True, True, False])
+    modes = np.array(solution.modes, dtype=object)[:, None]
+    sticking, sliding = (modes == [Mode.STICKING, Mode.SLIDING]).T
+    st, sl = np.flatnonzero(sticking), np.flatnonzero(sliding)
+    # Block-diagonal (n, 3, n, 3) forms of B and C: [c, :, c] is contact c's block.
+    B, C, Q = np.zeros((n, 3, n, 3)), np.zeros((n, 3, n, 3)), np.zeros((n, 3))
+    B[st, :, st] = C[st, :, st] = np.eye(3)
+    if sl.size:
+        basis = sliding_basis(solution.lam.reshape(-1, 3)[sl],
+                              solution.sigma.reshape(-1, 3)[sl], problem.mu[sl])
+        B[sl, :2, sl], C[sl, :, sl, :2] = np.swapaxes(basis.R, -1, -2) @ basis.P, basis.R
+        Q[sl, 1] = 1.0
+    used = (sticking[:, None] & ~(tangent & (problem.mu == 0.0)[:, None])
+            | sliding[:, None] & tangent).ravel()
+    B = B.reshape(3 * n, 3 * n).compress(used, axis=0)
+    C = C.reshape(3 * n, 3 * n).compress(used, axis=1)
+    A = B @ problem.G @ C + np.diag(Q.ravel()[used])
     U, s, Vt = svd(A)
     keep = s > _RANK_RTOL * s.max(initial=0.0)
     s_inv = np.divide(1.0, s, out=np.zeros_like(s), where=keep)
@@ -157,16 +158,19 @@ class _ContactDiff:
 
 
 def _contact_packs(model, dyn, contacts):
-    """The packs of the step's contact frames, differentiated along the
-    rows of the step's body Jacobians dyn.J; no narrow phase runs again."""
+    """The packs of the step's ContactSet, differentiated along the rows of
+    the step's body Jacobians dyn.J with one frame_derivative call per
+    contact pair; no narrow phase runs again."""
     Xc_inv, Jc6 = contact_frame_jacobians(dyn, contacts)
-    T1 = _body_rows(dyn.J, [f.body1 for f in contacts])
-    T2 = _body_rows(dyn.J, [f.body2 for f in contacts])
-    shapes, placements = [g.shape for g in model.geometries], dyn.kin.geom_placements
-    dM, dphi = zip(*(co.frame_derivative(shapes[f.pair[0]], shapes[f.pair[1]],
-                                         placements[f.pair[0]], placements[f.pair[1]], f, t1, t2)
-                     for f, t1, t2 in zip(contacts, T1, T2)))
-    return _ContactDiff(Xc_inv=Xc_inv, Jc6=Jc6, dM=np.array(dM), dphi_dq=np.array(dphi))
+    cuts = (np.flatnonzero((contacts.pair[1:] != contacts.pair[:-1]).any(axis=1)) + 1).tolist()
+    first, ends = [0, *cuts], [*cuts, len(contacts)]
+    geoms, places = model.geometries, dyn.kin.geom_placements
+    T12 = _body_rows(dyn.J, contacts.bodies[first])
+    dM, dphi = zip(*(co.frame_derivative(geoms[a].shape, geoms[b].shape, places[a], places[b],
+                                         contacts[s:e], t1, t2)
+                     for (a, b), s, e, (t1, t2) in zip(contacts.pair[first].tolist(), first, ends,
+                                                       T12)))
+    return _ContactDiff(Xc_inv=Xc_inv, Jc6=Jc6, dM=np.concatenate(dM), dphi_dq=np.concatenate(dphi))
 
 
 def _frame_wrenches(lam: np.ndarray) -> np.ndarray:
@@ -247,7 +251,6 @@ def _frozen_impulse_rhs(model, state, params, result, smooth):
     contacts = result.contacts
     if "q" in smooth and contacts:
         packs = _contact_packs(model, dyn, contacts)
-        b1, b2 = [f.body1 for f in contacts], [f.body2 for f in contacts]
 
     dvp = {}
     if "q" in smooth or "v" in smooth:
@@ -262,7 +265,7 @@ def _frozen_impulse_rhs(model, state, params, result, smooth):
             lam = result.solution.lam
             phi_w = (np.swapaxes(packs.Xc_inv, -1, -2) @ _frame_wrenches(lam)[:, :, None])[:, :, 0]
             wrenches = np.zeros((model.nb + 1, 6))
-            np.add.at(wrenches, np.stack([b1, b2], axis=1).ravel(),
+            np.add.at(wrenches, contacts.bodies.ravel(),
                       np.stack([phi_w, -phi_w], axis=1).reshape(-1, 6))
             JTL = collision_correction_jtl(packs, lam)
             dvp["q"] += dyn.solve(applied_wrench_q_derivative(model, dyn, wrenches[:-1]) + JTL)
@@ -277,12 +280,12 @@ def _frozen_impulse_rhs(model, state, params, result, smooth):
     if "q" in smooth and contacts:
         def contact_rows(dJv, w):
             """d(J_c w)/dq per contact (n, 3, nv) from d(J_i w)/dq per body."""
-            dJvd = _body_rows(dJv, b1) - _body_rows(dJv, b2)
+            dJv12 = _body_rows(dJv, contacts.bodies)
+            dJvd = dJv12[:, 0] - dJv12[:, 1]
             return (packs.Xc_inv @ dJvd)[:, 3:] + collision_correction_jv(packs, w)
 
         rows = contact_rows(jv_q_derivatives(model, kin, v_plus)[0], v_plus)
-        penetrating = np.array([f.signed_distance < 0.0 for f in contacts])
-        gain = (1.0 - params.baumgarte_kp * penetrating) / dt
+        gain = (1.0 - params.baumgarte_kp * (contacts.phi < 0.0)) / dt
         rows[:, 2] += gain[:, None] * packs.dphi_dq
         if kd != 0.0:
             rows -= kd * contact_rows(jv_q_derivatives(model, kin, v)[0], v)
@@ -295,19 +298,16 @@ def _frozen_impulse_rhs(model, state, params, result, smooth):
 def _mu_impulse_direction(model, result, cols) -> np.ndarray:
     """d lambda / d mu along the sliding cone boundary at fixed sigma, one
     column per pair in `cols`; zero for non-sliding contacts."""
-    pair_index = {(p.geom_a, p.geom_b): k for k, p in enumerate(model.pairs)}
-    sol = result.solution
-    p_dir = np.zeros((3 * len(result.contacts), len(cols)))
-    for i, frame in enumerate(result.contacts):
-        k = pair_index[frame.pair]
-        if sol.modes[i] is not Mode.SLIDING or k not in cols:
-            continue
-        mu = frame.friction
-        lam_n = sol.lam[3 * i + 2]
-        sig = sol.sigma[3 * i : 3 * i + 3]
-        u = sig[:2] / np.hypot(sig[0], sig[1])
-        p_dir[3 * i : 3 * i + 3, cols.index(k)] = -lam_n / (1.0 + mu * mu) * np.append(u, mu)
-    return p_dir
+    contacts, sol = result.contacts, result.solution
+    sl = np.flatnonzero(np.array(sol.modes, dtype=object) == Mode.SLIDING)
+    mu, lam_n, sig = contacts.friction[sl], sol.lam[3 * sl + 2], sol.sigma.reshape(-1, 3)[sl]
+    u = sig[:, :2] / np.hypot(sig[:, 0], sig[:, 1])[:, None]
+    along = (-lam_n / (1.0 + mu * mu))[:, None] * np.column_stack([u, mu])
+    in_col = (contacts.pair[sl, None] == [[(model.pairs[k].geom_a, model.pairs[k].geom_b)
+                                           for k in cols]]).all(axis=-1)
+    p_dir = np.zeros((len(contacts), 3, len(cols)))
+    p_dir[sl] = np.where(in_col[:, None, :], along[:, :, None], 0.0)
+    return p_dir.reshape(-1, len(cols))
 
 
 def step_jacobian(model: KinematicModel, state, tau, params, result, theta="all") -> StepJacobian:
@@ -326,15 +326,15 @@ def step_jacobian(model: KinematicModel, state, tau, params, result, theta="all"
     out = StepJacobian()
     dvp, rhs = _frozen_impulse_rhs(model, state, params, result, smooth)
     if mu_cols is not None:
-        p_dir = _mu_impulse_direction(model, result, mu_cols)
         dvp["mu"] = np.zeros((model.nv, len(mu_cols)))
     if contacts:
-        out.boundary = any(f.boundary for f in contacts)
+        out.boundary = bool(contacts.boundary.any())
         out.ambiguous = bool(result.solution.ambiguous.any())
         out.converged = result.solution.converged
         rs = assemble_reduced_system(result.problem, result.solution)
         out.rank_deficient = rs.deficient
         if mu_cols is not None:
+            p_dir = _mu_impulse_direction(model, result, mu_cols)
             rhs["mu"] = result.problem.G @ p_dir
 
     for t, dvp_t in dvp.items():

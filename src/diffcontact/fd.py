@@ -20,19 +20,13 @@ from .simulator import (SimParams, SimState, _check_rollout_theta, _keyed_impuls
                         _tau_sequence, rollout, step)
 
 
-def _basis(n: int, k: int) -> np.ndarray:
-    e = np.zeros(n)
-    e[k] = 1.0
-    return e
-
-
 def perturb_state(model: KinematicModel, state: SimState, theta: str, k: int,
                   eps: float) -> SimState:
     """State displaced by eps along tangent direction k of q or v."""
     if theta == "q":
-        return SimState(integrate(model, state.q, eps * _basis(model.nv, k)), state.v.copy())
+        return SimState(integrate(model, state.q, eps * np.eye(model.nv)[k]), state.v.copy())
     if theta == "v":
-        return SimState(state.q.copy(), state.v + eps * _basis(model.nv, k))
+        return SimState(state.q.copy(), state.v + eps * np.eye(model.nv)[k])
     raise ValueError("theta must be 'q' or 'v'")
 
 
@@ -65,7 +59,7 @@ def fd_step_jacobian(model: KinematicModel, state: SimState, tau=None,
         if t == "mu":
             return step(with_pair_mu(model, k, model.pairs[k].mu + s), state, tau, params, warm)
         if t == "tau":
-            return step(model, state, tau + s * _basis(model.nv, k), params, warm)
+            return step(model, state, tau + s * np.eye(model.nv)[k], params, warm)
         return step(model, perturb_state(model, state, t, k, s), tau, params, warm)
 
     blocks = {t: range(model.nv) for t in smooth}

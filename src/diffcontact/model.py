@@ -226,7 +226,7 @@ class KinematicModel:
             if not -1 <= j.parent < i:
                 raise ValueError(f"joint {i} parent {j.parent} breaks tree order")
             if j.kind in ("revolute", "prismatic"):
-                if j.axis is None or abs(np.linalg.norm(j.axis) - 1.0) > 1e-9:
+                if j.axis is None or not abs(np.linalg.norm(j.axis) - 1.0) <= 1e-9:
                     raise ValueError(f"joint {i} needs a unit axis")
         for i, ine in enumerate(self.inertias):
             if ine.mass <= 0.0:
@@ -269,7 +269,7 @@ class KinematicModel:
         for i, j in enumerate(self.joints):
             if j.kind == "free":
                 quat = q[self.q_offsets[i] + 3 : self.q_offsets[i] + 7]
-                if abs(np.linalg.norm(quat) - 1.0) > 1e-9:
+                if not abs(np.linalg.norm(quat) - 1.0) <= 1e-9:
                     raise ValueError(f"joint {i} quaternion is not unit norm")
 
 

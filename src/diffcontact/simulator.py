@@ -8,19 +8,19 @@ velocities sigma = G lambda + g (lambda in impulse units),
 then advances v+ = v_free + M^-1 J_c^T lambda and q+ = integrate(q, dt v+).
 Penetration recovery adds phi/dt to the normal rows of g, optionally scaled
 further by the kp gain when penetrating, and a kd damping term on all rows.
+The step's contacts are one stacked collision.ContactSet, in J_c row order.
 """
 from __future__ import annotations
 
-import dataclasses
 import logging
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .collision import narrow_phase
+from .collision import NO_CONTACTS, ContactSet, narrow_phase
 from .contact import ContactProblem, ContactSolution, ModeThresholds, solve_ncp
 from .dynamics import DynamicsData, compute_dynamics
-from .model import KinematicModel, _stack_placements, compute_kinematics, integrate
+from .model import KinematicModel, compute_kinematics, integrate
 from .spatial import Placement, adjoint_inverse
 
 log = logging.getLogger("diffcontact")
@@ -74,7 +74,7 @@ class StepResult:
     """Everything one step produced; enough to differentiate it."""
 
     state: SimState                 # post-step state
-    contacts: list                  # active ContactFrames, pair-major order
+    contacts: ContactSet            # active contacts, stacked in pair-major order
     problem: ContactProblem | None
     solution: ContactSolution | None
     J_c: np.ndarray                 # (3n, nv) contact Jacobian at the input q
@@ -85,42 +85,30 @@ class StepResult:
         """Impulses keyed by (pair, feature) for the next step's solver."""
         if self.solution is None:
             return {}
-        return {
-            (f.pair, f.feature): self.solution.lam[3 * i : 3 * i + 3].copy()
-            for i, f in enumerate(self.contacts)
-        }
+        return dict(zip(self.contacts.keys(), self.solution.lam.reshape(-1, 3).copy()))
 
 
 def _keyed_impulses(keyed: dict, contacts) -> np.ndarray:
     """Impulses (3n,) of contacts looked up by (pair, feature) in a
     StepResult.warm_start dict; zero for a contact it does not hold."""
-    return np.array([keyed.get((f.pair, f.feature), np.zeros(3)) for f in contacts]).reshape(-1)
+    return np.array([keyed.get(k, np.zeros(3)) for k in contacts.keys()]).reshape(-1)
 
 
-def detect_contacts(model: KinematicModel, kin, margin: float) -> list:
-    """Narrow phase over the declared pairs; frames carry pair, bodies and
-    friction so downstream code never re-resolves them."""
-    contacts = []
-    for fp in model.pairs:
-        ga = model.geometries[fp.geom_a]
-        gb = model.geometries[fp.geom_b]
-        frames = narrow_phase(
-            ga.shape, gb.shape, kin.geom_placements[fp.geom_a],
-            kin.geom_placements[fp.geom_b], margin,
-        )
-        for f in frames:
-            contacts.append(
-                dataclasses.replace(
-                    f, pair=(fp.geom_a, fp.geom_b), friction=fp.mu,
-                    body1=ga.body, body2=gb.body,
-                )
-            )
-    return contacts
+def detect_contacts(model: KinematicModel, kin, margin: float) -> ContactSet:
+    """Narrow phase over the declared pairs, each set labelled with its pair,
+    bodies and friction, stacked into one ContactSet in pair order."""
+    geoms, places = model.geometries, kin.geom_placements
+    found = [narrow_phase(geoms[a].shape, geoms[b].shape, places[a], places[b], margin,
+                          (a, b, geoms[a].body, geoms[b].body), p.mu)
+             for p in model.pairs for a, b in [(p.geom_a, p.geom_b)]]
+    found = [cs for cs in found if len(cs)]
+    if len(found) < 2:
+        return found[0] if found else NO_CONTACTS
+    return ContactSet(*(np.concatenate(f) for f in zip(*(vars(cs).values() for cs in found))))
 
 
-def _body_rows(A: np.ndarray, bodies) -> np.ndarray:
+def _body_rows(A: np.ndarray, bodies: np.ndarray) -> np.ndarray:
     """A[b] for each body index b of a per-body stack A; zero for the environment (-1)."""
-    bodies = np.asarray(bodies, dtype=int)
     rows = A[bodies]
     rows[bodies < 0] = 0.0
     return rows
@@ -130,9 +118,9 @@ def contact_frame_jacobians(dyn: DynamicsData, contacts):
     """Stacked inverse adjoints (n, 6, 6) of the contact frames and the
     relative twist Jacobians (n, 6, nv) of body 1 against body 2 in those
     frames, read off the body Jacobians of dyn."""
-    Xc_inv = adjoint_inverse(Placement(*_stack_placements(f.placement for f in contacts)))
-    b1, b2 = [f.body1 for f in contacts], [f.body2 for f in contacts]
-    return Xc_inv, Xc_inv @ (_body_rows(dyn.J, b1) - _body_rows(dyn.J, b2))
+    Xc_inv = adjoint_inverse(Placement(contacts.rotation, contacts.point))
+    J12 = _body_rows(dyn.J, contacts.bodies)
+    return Xc_inv, Xc_inv @ (J12[:, 0] - J12[:, 1])
 
 
 def contact_jacobian(model: KinematicModel, dyn: DynamicsData, contacts) -> np.ndarray:
@@ -158,21 +146,20 @@ def step(model: KinematicModel, state: SimState, tau=None, params: SimParams | N
     contacts = detect_contacts(model, kin, params.contact_margin)
     if not contacts:
         q_next = integrate(model, state.q, dt * v_free)
-        return StepResult(SimState(q_next, v_free), [], None, None,
+        return StepResult(SimState(q_next, v_free), contacts, None, None,
                           np.zeros((0, model.nv)), v_free, dyn)
 
     J_c = contact_jacobian(model, dyn, contacts)
     G = J_c @ dyn.solve(J_c.T)
     G = 0.5 * (G + G.T)
     g = J_c @ v_free
-    phi_rate = np.array([f.signed_distance for f in contacts]) / dt
+    phi_rate = contacts.phi / dt
     g[2::3] += phi_rate - params.baumgarte_kp * np.minimum(phi_rate, 0.0)
     if params.baumgarte_kd != 0.0:
         g -= params.baumgarte_kd * (J_c @ state.v)
 
-    mu = np.array([f.friction for f in contacts])
     lam0 = _keyed_impulses(warm_start, contacts) if warm_start else None
-    problem = ContactProblem(G=G, g=g, mu=mu)
+    problem = ContactProblem(G=G, g=g, mu=contacts.friction)
     solution = solve_ncp(problem, tol=params.ncp_tol, max_iters=params.ncp_max_iters,
                          warm_start=lam0, thresholds=params.thresholds)
     if not solution.converged:
@@ -184,21 +171,16 @@ def step(model: KinematicModel, state: SimState, tau=None, params: SimParams | N
     return StepResult(SimState(q_next, v_next), contacts, problem, solution, J_c, v_free, dyn)
 
 
-def _tau_at(tau_seq, t: int, nv: int) -> np.ndarray:
-    if tau_seq is None:
-        return np.zeros(nv)
-    arr = np.asarray(tau_seq, dtype=float)
-    if arr.ndim == 1:
-        return arr
-    return arr[t]
-
-
 def _tau_sequence(tau_seq, horizon: int, nv: int) -> np.ndarray:
-    """The first `horizon` rows of tau_seq as a new (horizon, nv) array, as
-    rollout reads them; None gives zeros, one vector every row."""
+    """The first `horizon` rows of tau_seq as a new (horizon, nv) array, the
+    torques rollout and rollout_jacobian apply; None gives zeros, one vector
+    every row. A sequence of the wrong shape or with fewer than `horizon`
+    rows raises ValueError."""
     if tau_seq is None:
         return np.zeros((horizon, nv))
     arr = np.asarray(tau_seq, dtype=float)
+    if arr.ndim == 2 and len(arr) < horizon:
+        raise ValueError(f"tau_seq has {len(arr)} rows, fewer than horizon = {horizon}")
     return np.broadcast_to(arr[:horizon] if arr.ndim == 2 else arr, (horizon, nv)).copy()
 
 
@@ -210,8 +192,8 @@ def rollout(model: KinematicModel, state0: SimState, tau_seq=None, horizon: int 
     results = []
     state = state0
     warm = None
-    for t in range(horizon):
-        res = step(model, state, _tau_at(tau_seq, t, model.nv), params, warm_start=warm)
+    for tau in _tau_sequence(tau_seq, horizon, model.nv):
+        res = step(model, state, tau, params, warm_start=warm)
         results.append(res)
         state = res.state
         warm = res.warm_start()
@@ -249,15 +231,16 @@ def rollout_jacobian(model: KinematicModel, state0: SimState, tau_seq=None, hori
     else:
         Jq = np.eye(nv) if theta == "q0" else np.zeros((nv, nv))
         Jv = np.eye(nv) if theta == "v0" else np.zeros((nv, nv))
-    results = rollout(model, state0, tau_seq, horizon, params)
-    for t, res in enumerate(results):
+    taus = _tau_sequence(tau_seq, horizon, nv)
+    results = rollout(model, state0, taus, horizon, params)
+    for t, (res, tau) in enumerate(zip(results, taus)):
         blocks = ["q", "v"]
         if theta == "tau0" and t == 0:
             blocks.append("tau")
         elif theta == "mu":
             blocks.append(("mu", mu_pair))
         state = results[t - 1].state if t else state0
-        jac = step_jacobian(model, state, _tau_at(tau_seq, t, nv), params, res, theta=blocks)
+        jac = step_jacobian(model, state, tau, params, res, theta=blocks)
         Jv_new = jac.dv["q"] @ Jq + jac.dv["v"] @ Jv
         Jq_new = jac.dq["q"] @ Jq + jac.dq["v"] @ Jv
         if "tau" in jac.dv:
@@ -281,10 +264,11 @@ def trajectory_rows(results):
         row.extend(float(x) for x in res.state.v)
         row.append(float(res.solution.residual) if res.solution else 0.0)
         row.append(len(res.contacts))
-        for i, f in enumerate(res.contacts):
-            lam_c = res.solution.lam[3 * i : 3 * i + 3]
-            row.extend([f.pair[0], f.pair[1], f.feature, res.solution.modes[i].value,
-                        float(f.signed_distance)])
-            row.extend(float(x) for x in lam_c)
+        if res.solution is not None:
+            cs, sol = res.contacts, res.solution
+            for (a, b), feature, mode, phi, lam_c in zip(
+                    cs.pair.tolist(), cs.feature.tolist(), sol.modes, cs.phi.tolist(),
+                    sol.lam.reshape(-1, 3).tolist()):
+                row.extend([a, b, feature, mode.value, phi, *lam_c])
         rows.append(row)
     return rows

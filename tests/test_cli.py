@@ -205,6 +205,53 @@ def test_wrong_initial_state_length(tmp_path, capsys):
     assert "nq=7" in err
 
 
+def _zero_normal(doc):
+    doc["geometries"][1]["params"]["normal"] = [0, 0, 0]
+
+
+def _nan_normal(doc):
+    doc["geometries"][1]["params"]["normal"] = [float("nan"), 0, 1]
+
+
+def _zero_joint_axis(doc):
+    doc["bodies"].append({"mass": 1.0, "inertia_diag": [0.01, 0.01, 0.01],
+                          "joint": {"kind": "revolute", "parent": 0, "axis": [0, 0, 0]}})
+    doc["initial"] = {"q": [0, 0, 0.5, 0, 0, 0, 1, 0], "v": [0] * 7}
+
+
+def _negative_radius(doc):
+    doc["geometries"][0]["params"]["radius"] = -0.1
+
+
+def _flat_box(doc):
+    doc["geometries"][0] = {"body": "ball", "shape": "box",
+                            "params": {"half_extents": [0.1, 0.0, 0.1]}}
+
+
+def _non_unit_quaternion(doc):
+    doc["initial"]["q"] = [0, 0, 0.5, 0, 0, 0, 2]
+
+
+@pytest.mark.parametrize("corrupt, words", [
+    (_zero_normal, "params.normal"),
+    (_nan_normal, "halfspace normal"),
+    (_zero_joint_axis, "joint.axis"),
+    (_negative_radius, "sphere radius"),
+    (_flat_box, "half extents"),
+    (_non_unit_quaternion, "quaternion"),
+])
+def test_invalid_scene_values_exit_2(tmp_path, capsys, corrupt, words):
+    """Values the schema admits but the model cannot use are reported as an
+    error with exit code 2, not a traceback or a silent NaN."""
+    bad = minimal_scene()
+    corrupt(bad)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(bad))
+    code, _, err = run(["simulate", "--scene", str(path)], capsys)
+    assert code == 2
+    assert err.startswith("error: ") and words in err
+
+
 def test_pair_order_normalized(tmp_path):
     """Pairs may be written in either geometry order; loading canonicalizes
     to the supported (shape_a, shape_b) orientation."""

@@ -12,6 +12,7 @@ from diffcontact import collision
 from diffcontact.collision import (
     Box,
     ContactFrame,
+    ContactSet,
     Halfspace,
     Sphere,
     UnsupportedCollisionPair,
@@ -41,6 +42,8 @@ def test_shape_validation():
         Box(np.array([0.1, -0.1, 0.1]))
     with pytest.raises(ValueError):
         Halfspace(np.array([0.0, 0.0, 2.0]))
+    with pytest.raises(ValueError):
+        Halfspace(np.array([np.nan, 0.0, 0.0]))
 
 
 unit_vec = st.lists(
@@ -66,16 +69,15 @@ def test_sphere_halfspace_closed_form():
         c[2] = rng.uniform(0.0, 0.4)
         frames = narrow_phase(s, GROUND, placement_at(c), Placement.identity(), margin=1.0)
         assert len(frames) == 1
-        f = frames[0]
-        assert abs(f.signed_distance - (c[2] - 0.25)) < 1e-12
-        np.testing.assert_allclose(f.normal, [0, 0, 1], atol=1e-12)
-        np.testing.assert_allclose(f.point, [c[0], c[1], 0.0], atol=1e-12)
+        assert abs(frames.phi[0] - (c[2] - 0.25)) < 1e-12
+        np.testing.assert_allclose(frames.rotation[0][:, 2], [0, 0, 1], atol=1e-12)
+        np.testing.assert_allclose(frames.point[0], [c[0], c[1], 0.0], atol=1e-12)
 
 
 def test_sphere_halfspace_respects_margin():
     s = Sphere(0.1)
     high = placement_at([0, 0, 0.5])
-    assert narrow_phase(s, GROUND, high, Placement.identity(), margin=1e-4) == []
+    assert len(narrow_phase(s, GROUND, high, Placement.identity(), margin=1e-4)) == 0
     touching = placement_at([0, 0, 0.10005])
     assert len(narrow_phase(s, GROUND, touching, Placement.identity(), margin=1e-4)) == 1
 
@@ -88,18 +90,17 @@ def test_tilted_halfspace_distance():
     frames = narrow_phase(s, plane, placement_at(c), Placement.identity(), margin=10.0)
     expected = n @ c - 0.1 - 0.2
     assert abs(frames[0].signed_distance - expected) < 1e-12
-    np.testing.assert_allclose(frames[0].normal, n, atol=1e-12)
+    np.testing.assert_allclose(frames.rotation[0][:, 2], n, atol=1e-12)
 
 
 def test_sphere_sphere_closed_form():
     s1, s2 = Sphere(0.2), Sphere(0.3)
     c1, c2 = np.array([0.0, 0.0, 1.0]), np.array([0.3, 0.0, 1.0])
     frames = narrow_phase(s1, s2, placement_at(c1), placement_at(c2), margin=10.0)
-    f = frames[0]
-    assert abs(f.signed_distance - (0.3 - 0.5)) < 1e-12
-    np.testing.assert_allclose(f.normal, [-1, 0, 0], atol=1e-12)  # from 2 toward 1
+    assert abs(frames.phi[0] - (0.3 - 0.5)) < 1e-12
+    np.testing.assert_allclose(frames.rotation[0][:, 2], [-1, 0, 0], atol=1e-12)  # 2 toward 1
     # midpoint of the surface points (0.2,0,1) and (0,0,1)
-    np.testing.assert_allclose(f.point, [0.1, 0, 1.0], atol=1e-12)
+    np.testing.assert_allclose(frames.point[0], [0.1, 0, 1.0], atol=1e-12)
 
 
 def test_sphere_sphere_coincident_centers_error():
@@ -115,7 +116,7 @@ def test_box_halfspace_flat_patch():
     assert len(frames) == 4
     feats = sorted(f.feature for f in frames)
     assert len(set(feats)) == 4
-    pts = np.array(sorted(tuple(np.round(f.point, 9)) for f in frames))
+    pts = np.array(sorted(tuple(np.round(p, 9)) for p in frames.point))
     expected = np.array(sorted([(sx * 0.1, sy * 0.2, 0.0)
                                 for sx in (-1, 1) for sy in (-1, 1)]))
     np.testing.assert_allclose(pts, expected, atol=1e-9)
@@ -147,10 +148,10 @@ def test_box_patch_builds_one_frame_rotation(monkeypatch):
     frames = narrow_phase(b, GROUND, placement_at([0, 0, 0.05]), Placement.identity(),
                           margin=1e-3)
     assert len(frames) == 4 and len(calls) == 1
-    assert all(f.placement.rotation is frames[0].placement.rotation for f in frames)
+    assert all(np.array_equal(f.placement.rotation, frames.rotation[0]) for f in frames)
     calls.clear()
-    assert narrow_phase(b, GROUND, placement_at([0, 0, 0.5]), Placement.identity(),
-                        margin=1e-3) == []
+    assert len(narrow_phase(b, GROUND, placement_at([0, 0, 0.5]), Placement.identity(),
+                            margin=1e-3)) == 0
     assert calls == []
 
 
@@ -188,7 +189,7 @@ def test_box_corners_match_per_corner_loop():
         expected = _box_corners_by_loop(b, h, M1, M2)
         assert len(frames) == len(expected) == 4
         for f, (p, phi, feature) in zip(frames, expected):
-            assert np.array_equal(f.point, p)
+            assert np.array_equal(f.placement.translation, p)
             assert f.signed_distance == phi and f.feature == feature
 
 
@@ -215,14 +216,14 @@ def test_unsupported_pair_raises():
         narrow_phase(GROUND, GROUND, Placement.identity(), Placement.identity())
 
 
-def _local_basis_derivative(shape1, shape2, M1, M2, frame):
-    """frame_derivative along the six local basis twists of each placement
-    (geometry 1 columns 0:6, geometry 2 columns 6:12), written as the world
-    twists T1 = [Ad(M1) | 0] and T2 = [0 | Ad(M2)]."""
+def _local_basis_derivative(shape1, shape2, M1, M2, frames):
+    """frame_derivative of a pair's ContactSet along the six local basis
+    twists of each placement (geometry 1 columns 0:6, geometry 2 columns
+    6:12), written as the world twists T1 = [Ad(M1) | 0] and T2 = [0 | Ad(M2)]."""
     zero = np.zeros((6, 6))
     T1 = np.hstack([adjoint(M1), zero])
     T2 = np.hstack([zero, adjoint(M2)])
-    return frame_derivative(shape1, shape2, M1, M2, frame, T1, T2)
+    return frame_derivative(shape1, shape2, M1, M2, frames, T1, T2)
 
 
 def _fd_frame_derivative(shape1, shape2, M1, M2, frame, eps=1e-7, margin=10.0):
@@ -290,11 +291,12 @@ def test_cd_derivatives_match_fd(case):
     frames = narrow_phase(sh1, sh2, M1, M2, margin=10.0)
     assert frames
     if "x_normal" in case:
-        assert abs(frames[0].normal[0]) > 0.99 and not frames[0].boundary
-    for frame in frames:
-        got = _local_basis_derivative(sh1, sh2, M1, M2, frame)[0]
+        assert abs(frames.rotation[0][0, 2]) > 0.99 and not frames[0].boundary
+    got = _local_basis_derivative(sh1, sh2, M1, M2, frames)[0]
+    assert got.shape == (len(frames), 6, 12)
+    for i, frame in enumerate(frames):
         want = _fd_frame_derivative(sh1, sh2, M1, M2, frame)
-        np.testing.assert_allclose(got, want, atol=5e-6)
+        np.testing.assert_allclose(got[i], want, atol=5e-6)
 
 
 def test_signed_distance_derivative_matches_fd():
@@ -302,7 +304,7 @@ def test_signed_distance_derivative_matches_fd():
     M1 = placement_at([0, 0, 0.099], xi=np.array([0.25, -0.15, 0.4, 0, 0, 0]))
     M2 = Placement.identity()
     frames = narrow_phase(sh1, sh2, M1, M2, margin=10.0)
-    D = np.stack([_local_basis_derivative(sh1, sh2, M1, M2, f)[1] for f in frames])
+    D = _local_basis_derivative(sh1, sh2, M1, M2, frames)[1]
     assert D.shape == (len(frames), 12)
     eps = 1e-7
     for i, frame in enumerate(frames):
@@ -321,10 +323,20 @@ def test_signed_distance_derivative_matches_fd():
 
 
 def test_contact_frame_accessors():
-    f = ContactFrame(Placement(frame_from_normal(np.array([0.0, 0, 1.0])),
-                               np.array([1.0, 2.0, 0.0])), -0.01)
-    np.testing.assert_allclose(f.normal, [0, 0, 1])
-    np.testing.assert_allclose(f.point, [1, 2, 0])
+    """An int index of a ContactSet gives the ContactFrame view of its
+    arrays; a slice gives a ContactSet."""
+    b = Box(np.array([0.1, 0.2, 0.05]))
+    frames = narrow_phase(b, GROUND, placement_at([0.3, 0.4, 0.05]), Placement.identity(),
+                          margin=1e-3)
+    np.testing.assert_allclose(frames.rotation[:, :, 2], np.tile([0.0, 0, 1], (4, 1)))
+    for i, f in enumerate(frames):
+        assert isinstance(f, ContactFrame)
+        assert np.array_equal(f.placement.rotation, frames.rotation[i])
+        assert np.array_equal(f.placement.translation, frames.point[i])
+        assert f.signed_distance == frames.phi[i] and f.feature == frames.feature[i]
+        assert f.pair == (-1, -1) and f.boundary is bool(frames.boundary[i])
+    part = frames[1:3]
+    assert isinstance(part, ContactSet) and np.array_equal(part.point, frames.point[1:3])
 
 
 def test_narrow_phase_flags_frame_reference_switch():

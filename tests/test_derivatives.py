@@ -271,6 +271,27 @@ def test_step_jacobian_runs_no_narrow_phase(monkeypatch):
     assert calls == []
 
 
+def test_cube_slide_jacobian_runs_one_frame_derivative_and_one_sliding_basis(monkeypatch):
+    """The four sliding corners of cube_slide are one pair: the contact packs
+    differentiate them in one frame_derivative call, and the reduced system
+    builds all four sliding bases in one sliding_basis call."""
+    model, state, params = load_scene("cube_slide")
+    res = step(model, state, None, params)
+    assert len(res.contacts) == 4 and len(model.pairs) == 1
+    assert all(m is Mode.SLIDING for m in res.solution.modes)
+    calls = {"frame_derivative": [], "sliding_basis": [], "assemble_reduced_system": []}
+    for module, name in ((collision, "frame_derivative"), (derivatives, "sliding_basis"),
+                         (derivatives, "assemble_reduced_system")):
+        def counting(*args, _fn=getattr(module, name), _name=name, **kwargs):
+            calls[_name].append(1)
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counting)
+    step_jacobian(model, state, None, params, res, theta=["q", "v", "tau", "mu"])
+    assert len(calls["frame_derivative"]) == 1
+    assert len(calls["sliding_basis"]) == len(calls["assemble_reduced_system"]) == 1
+
+
 def test_step_jacobian_block_lists_match_single_blocks():
     """A list of blocks returns exactly what each block returns alone."""
     sc = SCENARIOS["chain_foot_slide"]
@@ -336,6 +357,15 @@ def _sliding_pair(mu=0.5, lam_n=2.0, s_t=0.8, u=(0.6, 0.8)):
     return lam, sigma, u
 
 
+# (lam, sigma, mu) of one contact with no sliding basis: frictionless, no
+# slip, apex impulse
+_DEGENERATE_SLIDING = [
+    (np.array([0.0, 0.0, 1.0]), np.array([1.0, 0.0, 0.0]), 0.0),
+    (np.array([-0.5, 0.0, 1.0]), np.array([0.0, 0.0, 0.0]), 0.5),
+    (np.array([0.0, 0.0, 0.0]), np.array([1.0, 0.0, 0.0]), 0.5),
+]
+
+
 def test_sliding_basis_columns():
     mu = 0.5
     lam, sigma, u = _sliding_pair(mu=mu)
@@ -357,17 +387,38 @@ def test_sliding_basis_projector_annihilates_solution_sigma():
     assert b.P[2, 2] == 1.0
 
 
-@pytest.mark.parametrize(
-    "lam, sigma, mu",
-    [
-        (np.array([0.0, 0.0, 1.0]), np.array([1.0, 0.0, 0.0]), 0.0),
-        (np.array([-0.5, 0.0, 1.0]), np.array([0.0, 0.0, 0.0]), 0.5),
-        (np.array([0.0, 0.0, 0.0]), np.array([1.0, 0.0, 0.0]), 0.5),
-    ],
-)
+@pytest.mark.parametrize("lam, sigma, mu", _DEGENERATE_SLIDING)
 def test_sliding_basis_degenerate_inputs_raise(lam, sigma, mu):
     with pytest.raises(SingularSlidingMode):
         sliding_basis(lam, sigma, mu)
+
+
+def test_stacked_sliding_basis_matches_per_contact_calls():
+    """A stacked (k, 3) call gives, slice by slice, the bits of the
+    single-contact calls on random impulse and velocity draws."""
+    gen = np.random.default_rng(21)
+    for k in (1, 2, 5, 17):
+        lam = gen.normal(size=(k, 3))
+        lam[:, 2] = np.abs(lam[:, 2]) + 0.1
+        sigma = gen.normal(size=(k, 3))
+        mu = gen.uniform(0.1, 1.5, k)
+        stacked = sliding_basis(lam, sigma, mu)
+        assert stacked.R.shape == (k, 3, 2) and stacked.P.shape == (k, 3, 3)
+        for c in range(k):
+            one = sliding_basis(lam[c], sigma[c], float(mu[c]))
+            assert np.array_equal(stacked.R[c], one.R)
+            assert np.array_equal(stacked.P[c], one.P)
+            assert stacked.alpha[c] == one.alpha
+            assert np.array_equal(stacked.slip_dir[c], one.slip_dir)
+
+
+@pytest.mark.parametrize("lam, sigma, mu", _DEGENERATE_SLIDING)
+def test_stacked_sliding_basis_raises_on_any_degenerate_contact(lam, sigma, mu):
+    """One degenerate contact among regular ones makes the stacked call raise."""
+    good_lam, good_sigma, _ = _sliding_pair(mu=0.5)
+    with pytest.raises(SingularSlidingMode):
+        sliding_basis(np.stack([good_lam, lam, good_lam]),
+                      np.stack([good_sigma, sigma, good_sigma]), np.array([0.5, mu, 0.5]))
 
 
 # -- reduced system ---------------------------------------------------------
@@ -575,8 +626,8 @@ def _sigma_frozen(model, q, v, tau, params, lam, order):
     tau = np.zeros(model.nv) if tau is None else tau
     v_free = v + params.dt * dyn.solve(tau - dyn.bias)
     contacts = detect_contacts(model, kin, params.contact_margin)
-    by_key = {(f.pair, f.feature): f for f in contacts}
-    contacts = [by_key[k] for k in order]
+    by_key = {k: i for i, k in enumerate(contacts.keys())}
+    contacts = contacts[np.array([by_key[k] for k in order])]
     J_c = contact_jacobian(model, dyn, contacts)
     G = J_c @ dyn.solve(J_c.T)
     g = J_c @ v_free

@@ -55,6 +55,23 @@ def test_check_configuration_rejects_bad_quaternion():
         m.check_configuration(q)
 
 
+def test_check_configuration_rejects_nan_quaternion():
+    m = cube_model()
+    q = m.neutral_configuration()
+    q[3] = np.nan
+    with pytest.raises(ValueError):
+        m.check_configuration(q)
+
+
+@pytest.mark.parametrize("axis", [[np.nan, 0.0, 0.0], [0.0, 0.0, 0.0]])
+def test_non_unit_joint_axis_rejected(axis):
+    with pytest.raises(ValueError, match="unit axis"):
+        KinematicModel(
+            [JointSpec("revolute", -1, Placement.identity(), np.array(axis))],
+            [cube_model().inertias[0]], [], [],
+        )
+
+
 def test_bad_parent_rejected():
     with pytest.raises(ValueError):
         KinematicModel(

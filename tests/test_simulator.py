@@ -16,9 +16,11 @@ from diffcontact.model import difference, integrate
 from diffcontact.simulator import (
     SimParams,
     SimState,
+    reset_step_count,
     rollout,
     rollout_jacobian,
     step,
+    step_call_count,
     trajectory_rows,
 )
 
@@ -64,7 +66,7 @@ def test_free_flight_matches_symplectic_euler():
             [0.3 * k * dt, -0.2 * k * dt, z],
             atol=1e-12,
         )
-        assert res.contacts == [] and res.solution is None
+        assert len(res.contacts) == 0 and res.solution is None
 
 
 def test_configuration_update_uses_post_impact_velocity():
@@ -252,6 +254,18 @@ def test_rollout_jacobian_rejects_bad_mu_pair_before_rolling_out(monkeypatch, mu
     with pytest.raises(ValueError, match="mu_pair"):
         rollout_jacobian(model, state, None, horizon=2, params=params, theta="mu",
                          mu_pair=mu_pair)
+
+
+def test_rollout_rejects_short_torque_sequence_before_stepping():
+    """A 2-D torque sequence with fewer rows than the horizon fails before
+    the first step rather than partway through the rollout."""
+    model = sphere_model()
+    state = SimState(np.array([0.0, 0.0, 2.0, 0.0, 0.0, 0.0, 1.0]), np.zeros(6))
+    for run in (rollout, rollout_jacobian):
+        reset_step_count()
+        with pytest.raises(ValueError, match="fewer than horizon"):
+            run(model, state, np.zeros((3, model.nv)), 5)
+        assert step_call_count() == 0
 
 
 def test_rollout_final_state_matches_stepwise():
