@@ -3,7 +3,10 @@
 sigma = G lambda + g is the contact-space velocity, Gamma the De Saxce
 correction (0, 0, mu |sigma_T|). Solved exactly (to tolerance) with a
 projected Gauss-Seidel sweep over contacts; no relaxation of the cone
-constraint or of the maximum dissipation principle.
+constraint or of the maximum dissipation principle. Newton steps on the
+modes the sweeps found replace PGS's linearly converging tail (_polish),
+kept only if they meet the tolerance with the same modes; redundant sets,
+where lambda is not unique, are left to PGS.
 
 Units are whatever the caller puts into (G, g); the simulator uses impulses
 and velocities.
@@ -12,15 +15,20 @@ The sweep and the residual work on Python floats, one contact at a time,
 through one scalar cone projection. Each contact is a 3-vector block and
 scenes have a handful of contacts, so a numpy call on a block costs more in
 dispatch than its arithmetic; numpy is kept for the once-per-solve work
-(block norms, the exact sigma = G lambda + g).
+(block norms, the exact sigma = G lambda + g) and the polish's linear algebra.
 """
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
+from scipy.linalg.lapack import dsyev
+
+# Relative singular-value cutoff of a redundant set (polish and derivatives).
+_RANK_RTOL = 1e-12
+_FIRST_POLISH = 8  # sweep of the first polish attempt, then at doubling counts
 
 
 class Mode(enum.Enum):
@@ -42,6 +50,8 @@ class ContactProblem:
         n = len(self.mu)
         if self.G.shape != (3 * n, 3 * n) or self.g.shape != (3 * n,):
             raise ValueError("inconsistent contact problem dimensions")
+        if not all(np.isfinite(x).all() for x in (self.G, self.g, self.mu)):
+            raise ValueError("contact problem has non-finite entries")
         if np.any(np.asarray(self.mu) < 0.0):
             raise ValueError("friction coefficients must be >= 0")
 
@@ -73,9 +83,10 @@ class ContactSolution:
     sigma: np.ndarray
     modes: list
     ambiguous: np.ndarray
-    iterations: int
+    iterations: int  # PGS sweeps
     residual: float
     converged: bool
+    polished: bool = False  # lam came from the Newton polish
 
 
 def _project(a: float, b: float, n: float, mu: float):
@@ -104,30 +115,7 @@ def _triples(x):
 
 
 def _floats(x) -> list:
-    return x.tolist() if isinstance(x, np.ndarray) else list(x)
-
-
-def cone_project(lam: np.ndarray, mu: float) -> np.ndarray:
-    """Euclidean projection onto the friction cone |lam_T| <= mu lam_N."""
-    return np.array(_project(float(lam[0]), float(lam[1]), float(lam[2]), mu))
-
-
-def dual_cone_project(y: np.ndarray, mu: float) -> np.ndarray:
-    """Projection onto the dual cone K_mu^* (= K_{1/mu}; halfspace y_N >= 0
-    at mu = 0)."""
-    a, b, n = float(y[0]), float(y[1]), float(y[2])
-    if mu == 0.0:
-        return np.array([a, b, max(n, 0.0)])
-    return np.array(_project(a, b, n, 1.0 / mu))
-
-
-def de_saxce_correction(sigma: np.ndarray, mu) -> np.ndarray:
-    """Gamma(sigma): (0, 0, mu |sigma_T|) per contact; accepts stacked
-    (3n,) input with mu of shape (n,)."""
-    sig = sigma.reshape(-1, 3)
-    out = np.zeros_like(sig)
-    out[:, 2] = np.asarray(mu) * np.hypot(sig[:, 0], sig[:, 1])
-    return out.reshape(sigma.shape)
+    return x if isinstance(x, list) else x.tolist() if isinstance(x, np.ndarray) else list(x)
 
 
 def ncp_residual(problem: ContactProblem, lam, sigma=None) -> float:
@@ -142,15 +130,18 @@ def ncp_residual(problem: ContactProblem, lam, sigma=None) -> float:
 
     Both terms scale with lam, so they are divided by min(1, |lam_c|): a
     contact carrying a tiny impulse must still meet the tolerance in its
-    contact velocity, never more loosely than at |lam_c| = 1."""
+    contact velocity, never more loosely than at |lam_c| = 1. NaN if lam or
+    sigma is not finite."""
     if problem.n == 0:
         return 0.0
     if sigma is None:
         sigma = problem.G @ np.asarray(lam, dtype=float) + problem.g
+    lam, sigma = _floats(lam), _floats(sigma)
+    if not math.isfinite(sum(lam) + sum(sigma)):
+        return math.nan  # max() below would drop a NaN term
     worst = 0.0
     mus = np.asarray(problem.mu, dtype=float).tolist()
-    for mu, (l0, l1, l2), (s0, s1, s2) in zip(mus, _triples(_floats(lam)),
-                                               _triples(_floats(sigma))):
+    for mu, (l0, l1, l2), (s0, s1, s2) in zip(mus, _triples(lam), _triples(sigma)):
         s_t = math.hypot(s0, s1)
         y2 = s2 + mu * s_t  # normal part of y = sigma + Gamma(sigma)
         dual = max(-y2, 0.0) if mu == 0.0 else _cone_distance(s0, s1, y2, 1.0 / mu)
@@ -167,7 +158,8 @@ def ncp_residual(problem: ContactProblem, lam, sigma=None) -> float:
 
 def solve_ncp(problem: ContactProblem, tol: float = 1e-10, max_iters: int = 10000,
               warm_start=None, thresholds: ModeThresholds = ModeThresholds()) -> ContactSolution:
-    """Projected Gauss-Seidel with the De Saxce correction.
+    """Projected Gauss-Seidel with the De Saxce correction, then the polish
+    from sweep _FIRST_POLISH on, until it succeeds or meets a redundant set.
 
     Per contact: lam_c <- project_K(lam_c - (sigma_c + Gamma(sigma_c)) / s_c)
     with s_c the spectral norm of the diagonal block. Deterministic sweep
@@ -179,8 +171,10 @@ def solve_ncp(problem: ContactProblem, tol: float = 1e-10, max_iters: int = 1000
     G, g = problem.G, problem.g
     mus = np.asarray(problem.mu, dtype=float).tolist()
     lam = [0.0] * (3 * n)
-    if warm_start is not None and warm_start.shape == (3 * n,):
-        for c, (a, b, nrm) in enumerate(_triples(warm_start.tolist())):
+    if warm_start is not None and np.shape(warm_start) != (3 * n,):
+        raise ValueError(f"warm start of shape {np.shape(warm_start)}, expected ({3 * n},)")
+    if warm_start is not None:
+        for c, (a, b, nrm) in enumerate(_triples(np.asarray(warm_start, dtype=float).tolist())):
             lam[3 * c : 3 * c + 3] = _project(a, b, nrm, mus[c])
     scales = []
     cols = []
@@ -190,9 +184,8 @@ def solve_ncp(problem: ContactProblem, tol: float = 1e-10, max_iters: int = 1000
         cols.append(G[:, 3 * c : 3 * c + 3].T.tolist())
     sigma = (G @ np.array(lam) + g).tolist()
     residual = ncp_residual(problem, lam, sigma)
-    converged = residual <= tol
-    sweeps = 0
-    while not converged and sweeps < max_iters:
+    sweeps, attempt = 0, _FIRST_POLISH
+    while residual > tol and sweeps < max_iters:  # a NaN residual ends the solve
         sweeps += 1
         for c, (mu, s, (c0, c1, c2)) in enumerate(zip(mus, scales, cols)):
             i = 3 * c
@@ -208,12 +201,66 @@ def solve_ncp(problem: ContactProblem, tol: float = 1e-10, max_iters: int = 1000
         if sweeps % 128 == 0:
             sigma = (G @ np.array(lam) + g).tolist()  # refresh incremental updates
         residual = ncp_residual(problem, lam, sigma)
-        converged = residual <= tol
+        if residual > tol and sweeps >= attempt:
+            attempt, (modes, rows) = 2 * attempt, _mode_guess(lam, sigma, mus, scales)
+            w, _, info = dsyev(G[rows][:, rows], compute_v=0)  # ascending eigenvalues
+            if info != 0 or w.size and w[0] <= _RANK_RTOL * w[-1]:
+                attempt = math.inf  # a redundant set: lambda is not unique
+            elif (done := _polish(problem, mus, lam, modes, rows, tol, thresholds)) is not None:
+                return replace(done, iterations=sweeps)
+    converged = residual <= tol
     lam = np.array(lam)
     sigma = G @ lam + g
     residual = ncp_residual(problem, lam, sigma)
     modes, ambiguous = classify_modes(problem, lam, sigma, thresholds)
     return ContactSolution(lam, sigma, modes, ambiguous, sweeps, residual, converged)
+
+
+def _mode_guess(lam: list, sigma: list, mus: list, scales: list):
+    """Each contact's mode by its next PGS projection: polar (breaking),
+    interior (sticking, or active frictionless) or cone boundary (sliding);
+    and the rows of G those modes constrain."""
+    modes, rows = [], []
+    for c, (mu, s, (l0, l1, l2), (s0, s1, s2)) in enumerate(
+            zip(mus, scales, _triples(lam), _triples(sigma))):
+        q2 = l2 - (s2 + mu * math.hypot(s0, s1)) / s
+        p2 = _project(l0 - s0 / s, l1 - s1 / s, q2, mu)[2]
+        stick = p2 == q2 and mu > 0.0
+        modes.append(Mode.BREAKING if p2 == 0.0 else
+                     Mode.STICKING if stick or mu == 0.0 else Mode.SLIDING)
+        rows += [] if p2 == 0.0 else [3 * c, 3 * c + 1, 3 * c + 2] if stick else [3 * c + 2]
+    return modes, rows
+
+
+def _polish(problem: ContactProblem, mus: list, lam: list, modes: list, rows: list,
+            tol: float, thresholds: ModeThresholds) -> ContactSolution | None:
+    """Newton steps on F = L lam + K sigma = 0: sigma = 0 on the constrained
+    rows (K), lam = 0 on the others (L = I - K), and lam_T + mu lam_N
+    sigma_T/|sigma_T| = 0 on sliding tangent rows. Returns the first iterate
+    that meets tol (a NaN residual never does) if it keeps the modes."""
+    G, g, lam = problem.G, problem.g, np.array(lam)
+    K = np.diag(np.bincount(rows, minlength=len(g)) * 1.0)  # rows are distinct
+    L = np.eye(len(g)) - K
+    sliding = [(3 * c, mu) for c, (m, mu) in enumerate(zip(modes, mus)) if m is Mode.SLIDING]
+    sigma = G @ lam + g
+    try:
+        for _ in range(4):  # convergence is quadratic: one to three steps
+            s, ln = sigma.tolist(), lam.tolist()
+            for i, mu in sliding:
+                s_t = math.hypot(s[i], s[i + 1])
+                u0, u1, k = s[i] / s_t, s[i + 1] / s_t, mu * ln[i + 2] / s_t
+                L[i : i + 2, i + 2] = mu * u0, mu * u1
+                K[i : i + 2, i : i + 2] = [[k - k * u0 * u0, -k * u0 * u1],
+                                           [-k * u0 * u1, k - k * u1 * u1]]
+            lam = lam - np.linalg.solve(L + K @ G, L @ lam + K @ sigma)
+            sigma = G @ lam + g
+            if (residual := ncp_residual(problem, lam, sigma)) <= tol:
+                found, ambiguous = classify_modes(problem, lam, sigma, thresholds)
+                return (ContactSolution(lam, sigma, found, ambiguous, 0, residual, True, True)
+                        if found == modes else None)
+    except (np.linalg.LinAlgError, ZeroDivisionError):
+        pass
+    return None
 
 
 def classify_modes(problem: ContactProblem, lam: np.ndarray, sigma=None,

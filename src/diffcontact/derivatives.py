@@ -32,7 +32,7 @@ import numpy as np
 from numpy.linalg import svd
 
 from . import collision as co
-from .contact import ContactProblem, ContactSolution, Mode
+from .contact import _RANK_RTOL, ContactProblem, ContactSolution, Mode
 from .dynamics import (
     applied_wrench_q_derivative,
     compute_dynamics,  # noqa: F401  unused; the benchmark tracer patches this name
@@ -46,13 +46,6 @@ from .model import (
 )
 from .simulator import _body_rows, contact_frame_jacobians
 from .spatial import motion_cross, p_operator
-
-
-# Relative cutoff on the singular values of the reduced system A: the solve
-# drops every value at or below it times the largest, and the active set is
-# flagged redundant exactly when it drops one, so round-off in a redundant
-# direction is never inverted.
-_RANK_RTOL = 1e-12
 
 
 class SingularSlidingMode(ValueError):

@@ -1,24 +1,28 @@
-"""NCP solver: cone projections, residual, solve quality, classification.
+"""NCP solver: cone projections, residual, solve quality, classification,
+and the Newton polish on the identified modes.
 
 The single-contact family has closed-form solutions (frozen here as the
 oracle); randomized PSD problems are checked against the three contact
 principles directly rather than against the solver's own residual.
 """
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import chain_model
+from diffcontact import contact, simulator
+from diffcontact.cli import load_scene
 from diffcontact.contact import (
     ContactProblem,
     Mode,
     ModeThresholds,
-    cone_project,
-    de_saxce_correction,
-    dual_cone_project,
     ncp_residual,
     solve_ncp,
 )
+from oracles import cone_project, de_saxce_correction, dual_cone_project
 
 rng = np.random.default_rng(41)
 
@@ -57,6 +61,38 @@ def test_problem_validation():
         ContactProblem(np.eye(3), np.zeros(4), np.array([0.5]))
     with pytest.raises(ValueError):
         ContactProblem(np.eye(3), np.zeros(3), np.array([-0.5]))
+
+
+@pytest.mark.parametrize("field", ["G", "g", "mu"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_problem_rejects_non_finite_entries(field, bad):
+    parts = dict(G=np.eye(3), g=np.array([0.1, 0.0, -1.0]), mu=np.array([0.5]))
+    parts[field] = parts[field].copy()
+    parts[field].flat[-1] = bad
+    with pytest.raises(ValueError):
+        ContactProblem(**parts)
+
+
+def test_nan_warm_start_is_not_converged():
+    sol = solve_ncp(single([0.1, 0.0, -1.0], 0.5), tol=1e-12,
+                    warm_start=np.array([np.nan, 0.0, 1.0]))
+    assert not sol.converged
+    assert math.isnan(sol.residual)
+
+
+@pytest.mark.parametrize("lam, sigma", [
+    ([np.nan, 0.0, 1.0], None),
+    ([0.0, 0.0, 1.0], [0.0, np.inf, 0.0]),
+    ([0.0, 0.0, 0.0], [0.0, 0.0, np.nan]),
+])
+def test_residual_is_nan_on_non_finite_input(lam, sigma):
+    prob = single([0.1, 0.0, -1.0], 0.5)
+    assert math.isnan(ncp_residual(prob, np.array(lam), None if sigma is None else np.array(sigma)))
+
+
+def test_warm_start_of_wrong_shape_raises():
+    with pytest.raises(ValueError):
+        solve_ncp(single([0.1, 0.0, -1.0], 0.5), warm_start=np.ones(6))
 
 
 @given(st.lists(st.floats(-5, 5, allow_nan=False), min_size=3, max_size=3),
@@ -368,3 +404,99 @@ def test_solver_iterates_match_numpy_sweep(sweeps):
     np.testing.assert_allclose(sol.sigma, prob.G @ lam + prob.g, rtol=0,
                                atol=1e-12 * np.abs(sol.sigma).max())
     assert sol.residual == pytest.approx(reference_residual(prob, lam, sol.sigma), rel=1e-10)
+
+
+# -- the Newton polish on the identified modes -------------------------------
+
+
+def _recorded_rollout(monkeypatch, model, state, params, horizon, taus=None):
+    """Roll out with every NCP solve's problem, keyword arguments and
+    solution recorded."""
+    calls = []
+
+    def recording(problem, **kw):
+        sol = contact.solve_ncp(problem, **kw)
+        calls.append((problem, kw, sol))
+        return sol
+
+    if taus is None:
+        taus = 0.05 * np.random.default_rng(3).normal(size=(horizon, model.nv))
+    with monkeypatch.context() as patch:
+        patch.setattr(simulator, "solve_ncp", recording)
+        simulator.rollout(model, state, taus, horizon, params)
+    return calls
+
+
+def _chain48():
+    model = chain_model(48, foot_links=(11, 23, 35, 47))
+    state = simulator.SimState(model.neutral_configuration(), np.zeros(model.nv))
+    return model, state, simulator.SimParams(ncp_tol=1e-14)
+
+
+@pytest.mark.parametrize("scene", ["chain12", "chain48"])
+def test_polished_solves_match_pgs_only_solves(monkeypatch, scene):
+    """Every polished solve on seeded chain rollouts against a solve of the
+    same problem and warm start with the polish declining: same modes, and
+    lambda within 1e-12 of max(1, |lambda|)."""
+    model, state, params = _chain48() if scene == "chain48" else load_scene(scene)
+    calls = []
+    for seed in (3, 4):
+        taus = 0.05 * np.random.default_rng(seed).normal(size=(25, model.nv))
+        calls += _recorded_rollout(monkeypatch, model, state, params, 25, taus)
+    polished = [(p, kw, sol) for p, kw, sol in calls if sol.polished]
+    assert len(polished) >= 40
+    monkeypatch.setattr(contact, "_polish", lambda *args: None)
+    for problem, kw, sol in polished:
+        ref = solve_ncp(problem, **kw)
+        assert ref.converged and not ref.polished
+        assert sol.modes == ref.modes
+        assert sol.iterations < ref.iterations
+        scale = max(1.0, np.abs(ref.lam).max())
+        assert np.abs(sol.lam - ref.lam).max() <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("scene, horizon", [
+    ("cube_slide", 25), ("cube_on_plane", 25),
+    ("fourleg", 4),  # each step after the first stalls for 10000 sweeps
+])
+def test_redundant_patches_are_left_to_pgs(monkeypatch, scene, horizon):
+    """The box's four corners and the four-leg patch constrain more rows
+    than G has rank, so lambda is not unique: those solves are never
+    polished."""
+    model, state, params = load_scene(scene)
+    calls = _recorded_rollout(monkeypatch, model, state, params, horizon)
+    assert calls
+    assert not any(sol.polished for _, _, sol in calls)
+
+
+def test_chain_rollout_is_mostly_polished(monkeypatch):
+    model, state, params = load_scene("chain12")
+    calls = _recorded_rollout(monkeypatch, model, state, params, 25)
+    assert len(calls) == 25
+    assert sum(sol.polished for _, _, sol in calls) >= 20
+
+
+def test_polished_random_problems_satisfy_principles():
+    gen = np.random.default_rng(48)
+    polished = 0
+    for _ in range(40):
+        prob = random_psd_problem(gen, int(gen.integers(1, 5)))
+        sol = solve_ncp(prob, tol=1e-12, max_iters=200000)
+        assert sol.converged
+        if sol.polished:
+            polished += 1
+            assert ncp_residual(prob, sol.lam) <= 1e-12
+            check_contact_principles(prob, sol)
+    assert polished >= 10
+
+
+def test_polish_is_rejected_when_classification_disagrees():
+    """With eps_lambda above every impulse, classify_modes calls each
+    contact breaking, while the projection branches say active: the polish
+    meets the tolerance but changes the modes, so PGS must finish alone."""
+    gen = np.random.default_rng(48)
+    thresholds = ModeThresholds(eps_lambda=1e6)
+    for _ in range(40):
+        prob = random_psd_problem(gen, int(gen.integers(1, 5)))
+        sol = solve_ncp(prob, tol=1e-12, max_iters=200000, thresholds=thresholds)
+        assert sol.converged and not sol.polished
