@@ -1,5 +1,5 @@
 """Command line front end: scene files, simulation, Jacobian dumps,
-finite-difference checking, benchmarking and the inverse problems.
+finite-difference checking and the inverse problems.
 
 Scenes are JSON documents validated against the shipped schema
 (scene_schema.json). All outputs are CSV and deterministic for fixed inputs.
@@ -12,10 +12,9 @@ import csv
 import importlib.resources
 import json
 import logging
+import math
 import os
 import sys
-import time
-from dataclasses import fields as dataclass_fields
 
 import numpy as np
 
@@ -25,15 +24,7 @@ from .derivatives import step_jacobian
 from .fd import fd_step_jacobian
 from .inverse import GnSettings, estimate_initial_conditions, inverse_dynamics_contact
 from .model import BodyInertia, FrictionPair, Geometry, JointSpec, KinematicModel
-from .simulator import (
-    SimParams,
-    SimState,
-    reset_step_count,
-    rollout,
-    step,
-    step_call_count,
-    trajectory_rows,
-)
+from .simulator import SimParams, SimState, rollout, step, trajectory_rows
 from .spatial import Placement, quat_to_rotation
 
 log = logging.getLogger("diffcontact")
@@ -148,10 +139,7 @@ def scene_from_dict(doc: dict):
     except ValueError as exc:
         raise SceneError(str(exc)) from exc
 
-    pdoc = doc.get("params", {})
-    allowed = {f.name for f in dataclass_fields(SimParams)} - {"thresholds"}
-    params = SimParams(**{k: v_ for k, v_ in pdoc.items() if k in allowed})
-    return model, SimState(q, v), params
+    return model, SimState(q, v), SimParams(**doc.get("params", {}))
 
 
 def load_scene(path: str):
@@ -276,57 +264,6 @@ def cmd_fdcheck(args) -> int:
     return 0 if worst < args.tol else 1
 
 
-def _time_calls(fn, reps):
-    times = np.empty(reps)
-    for i in range(reps):
-        t0 = time.perf_counter()
-        fn()
-        times[i] = time.perf_counter() - t0
-    return times * 1e6
-
-
-def cmd_bench(args) -> int:
-    model, state, params = load_scene(args.scene)
-    tau = np.zeros(model.nv)
-    res = step(model, state, tau, params)
-
-    for _ in range(5):
-        step(model, state, tau, params)
-        step_jacobian(model, state, tau, params, res, theta="all")
-
-    t_step = _time_calls(lambda: step(model, state, tau, params), args.reps)
-    t_jac = _time_calls(lambda: step_jacobian(model, state, tau, params, res, theta="all"),
-                        args.reps)
-    fd_reps = max(10, args.reps // 10)
-    t_fd = _time_calls(lambda: fd_step_jacobian(model, state, tau, params, theta="all",
-                                                eps=args.eps), fd_reps)
-
-    reset_step_count()
-    fd_step_jacobian(model, state, tau, params, theta="all", eps=args.eps)
-    fd_calls = step_call_count()
-    reset_step_count()
-    step_jacobian(model, state, tau, params, res, theta="all")
-    jac_calls = step_call_count()
-
-    ratio = float(t_fd.mean() / t_jac.mean())
-    rows = [
-        ["step", t_step.mean(), t_step.std(), args.reps],
-        ["step_jacobian_all", t_jac.mean(), t_jac.std(), args.reps],
-        ["fd_jacobian_all", t_fd.mean(), t_fd.std(), fd_reps],
-        ["ratio_fd_over_analytic", ratio, 0.0, 0],
-    ]
-    print(f"bench '{args.scene}' (nv={model.nv}, contacts={len(res.contacts)}, "
-          f"reps={args.reps}):")
-    for name, mean, std, reps in rows[:3]:
-        print(f"  {name:20s} {mean:10.1f} +- {std:.1f} us  ({reps} reps)")
-    print(f"  fd/analytic ratio    {ratio:10.1f}x")
-    print(f"  step calls: fd={fd_calls} (2 per theta direction + base), "
-          f"analytic={jac_calls}")
-    if args.out:
-        _write_csv(args.out, ["name", "mean_us", "std_us", "reps"], rows)
-    return 0
-
-
 def _read_target(path, count: int, start: int = 0):
     """Floats [start, start + count) of the last data row of a target CSV
     (after a "step" header row, if any), and the number of data rows. A v*
@@ -398,6 +335,18 @@ def cmd_dump(args) -> int:
     return 0
 
 
+def _bounded(kind, zero_ok: bool = False):
+    """argparse type: a finite `kind` (int or float) above zero, or at
+    least zero with zero_ok; anything else exits 2 with a usage error."""
+    def parse(text):
+        x = kind(text)  # argparse reports a ValueError as "invalid <kind> value"
+        if not (math.isfinite(x) and (x >= 0 if zero_ok else x > 0)):
+            raise argparse.ArgumentTypeError(f"must be {'>= 0' if zero_ok else '> 0'}, got {text}")
+        return x
+    parse.__name__ = kind.__name__
+    return parse
+
+
 def main(argv=None) -> int:
     _configure_logging()
     parser = argparse.ArgumentParser(
@@ -414,7 +363,7 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("simulate", help="roll out a scene and export CSV")
     add_scene(p)
-    p.add_argument("--steps", type=int, default=100)
+    p.add_argument("--steps", type=_bounded(int), default=100)
     p.add_argument("--out", help="trajectory CSV path")
     p.set_defaults(fn=cmd_simulate)
 
@@ -427,26 +376,20 @@ def main(argv=None) -> int:
     p = sub.add_parser("fdcheck", help="compare analytic vs central differences")
     add_scene(p)
     p.add_argument("--theta", choices=("q", "v", "tau", "mu", "all"), default="all")
-    p.add_argument("--eps", type=float, default=1e-6)
-    p.add_argument("--tol", type=float, default=1e-4)
+    p.add_argument("--eps", type=_bounded(float), default=1e-6)
+    p.add_argument("--tol", type=_bounded(float), default=1e-4)
     p.set_defaults(fn=cmd_fdcheck)
-
-    p = sub.add_parser("bench", help="time step, analytic and FD jacobians")
-    add_scene(p)
-    p.add_argument("--reps", type=int, default=100)
-    p.add_argument("--eps", type=float, default=1e-6)
-    p.add_argument("--out", help="timing CSV path")
-    p.set_defaults(fn=cmd_bench)
 
     p = sub.add_parser("solve-inverse", help="Gauss-Newton inverse problems")
     add_scene(p)
     p.add_argument("--problem", choices=("estimate-v0", "estimate-impulse", "invdyn"),
                    required=True)
     p.add_argument("--target", help="trajectory CSV (estimation) or v* row (invdyn)")
-    p.add_argument("--horizon", type=int, default=0)
+    p.add_argument("--horizon", type=_bounded(int, zero_ok=True), default=0,
+                   help="steps to fit; 0 takes the target's row count")
     p.add_argument("--jacobian", choices=("analytic", "fd"), default="analytic")
-    p.add_argument("--eps", type=float, default=1e-6)
-    p.add_argument("--max-iters", type=int, default=100)
+    p.add_argument("--eps", type=_bounded(float), default=1e-6)
+    p.add_argument("--max-iters", type=_bounded(int), default=100)
     p.add_argument("--out", help="GN trace CSV path")
     p.set_defaults(fn=cmd_solve_inverse)
 

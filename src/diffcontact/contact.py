@@ -29,6 +29,14 @@ from scipy.linalg.lapack import dsyev
 # Relative singular-value cutoff of a redundant set (polish and derivatives).
 _RANK_RTOL = 1e-12
 _FIRST_POLISH = 8  # sweep of the first polish attempt, then at doubling counts
+# Mode classification. A contact breaks when |lam_c| is at most
+# _EPS_LAMBDA * |g|_inf / |G|_inf (each scale floored at 1e-6): g is a velocity
+# and G maps impulses to velocities, so the ratio is an impulse scale and the
+# threshold follows the problem's units. A contact slides when |sigma_T| >
+# _EPS_SLIDE and |lam_T| >= (1 - _EPS_CONE) mu lam_N.
+_EPS_LAMBDA = 1e-9
+_EPS_SLIDE = 1e-8
+_EPS_CONE = 1e-7
 
 
 class Mode(enum.Enum):
@@ -58,23 +66,6 @@ class ContactProblem:
     @property
     def n(self) -> int:
         return len(self.mu)
-
-
-@dataclass(frozen=True)
-class ModeThresholds:
-    """Classification thresholds. eps_lambda defaults to a problem-scaled
-    value ~ 1e-9 * |g|_inf / |G|_inf (an impulse scale)."""
-
-    eps_lambda: float | None = None
-    eps_slide: float = 1e-8
-    eps_cone: float = 1e-7
-
-    def lambda_threshold(self, problem: ContactProblem) -> float:
-        if self.eps_lambda is not None:
-            return self.eps_lambda
-        g_scale = max(float(np.abs(problem.g).max(initial=0.0)), 1e-6)
-        G_scale = max(float(np.abs(problem.G).max(initial=0.0)), 1e-6)
-        return 1e-9 * g_scale / G_scale
 
 
 @dataclass
@@ -157,7 +148,7 @@ def ncp_residual(problem: ContactProblem, lam, sigma=None) -> float:
 
 
 def solve_ncp(problem: ContactProblem, tol: float = 1e-10, max_iters: int = 10000,
-              warm_start=None, thresholds: ModeThresholds = ModeThresholds()) -> ContactSolution:
+              warm_start=None) -> ContactSolution:
     """Projected Gauss-Seidel with the De Saxce correction, then the polish
     from sweep _FIRST_POLISH on, until it succeeds or meets a redundant set.
 
@@ -176,12 +167,7 @@ def solve_ncp(problem: ContactProblem, tol: float = 1e-10, max_iters: int = 1000
     if warm_start is not None:
         for c, (a, b, nrm) in enumerate(_triples(np.asarray(warm_start, dtype=float).tolist())):
             lam[3 * c : 3 * c + 3] = _project(a, b, nrm, mus[c])
-    scales = []
-    cols = []
-    for c in range(n):
-        s = float(np.linalg.norm(G[3 * c : 3 * c + 3, 3 * c : 3 * c + 3], 2))
-        scales.append(s if s > 1e-14 else 1.0)
-        cols.append(G[:, 3 * c : 3 * c + 3].T.tolist())
+    scales, cols = _sweep_setup(G, n)
     sigma = (G @ np.array(lam) + g).tolist()
     residual = ncp_residual(problem, lam, sigma)
     sweeps, attempt = 0, _FIRST_POLISH
@@ -206,14 +192,23 @@ def solve_ncp(problem: ContactProblem, tol: float = 1e-10, max_iters: int = 1000
             w, _, info = dsyev(G[rows][:, rows], compute_v=0)  # ascending eigenvalues
             if info != 0 or w.size and w[0] <= _RANK_RTOL * w[-1]:
                 attempt = math.inf  # a redundant set: lambda is not unique
-            elif (done := _polish(problem, mus, lam, modes, rows, tol, thresholds)) is not None:
+            elif (done := _polish(problem, mus, lam, modes, rows, tol)) is not None:
                 return replace(done, iterations=sweeps)
     converged = residual <= tol
     lam = np.array(lam)
     sigma = G @ lam + g
     residual = ncp_residual(problem, lam, sigma)
-    modes, ambiguous = classify_modes(problem, lam, sigma, thresholds)
+    modes, ambiguous = classify_modes(problem, lam, sigma)
     return ContactSolution(lam, sigma, modes, ambiguous, sweeps, residual, converged)
+
+
+def _sweep_setup(G: np.ndarray, n: int):
+    """Each contact's PGS step scale, the spectral norm of its diagonal 3x3
+    block of G (1.0 where that vanishes), and its three columns of G, as
+    Python floats; one stacked SVD and one reshape for all contacts."""
+    c = np.arange(n)
+    norms = np.linalg.svd(G.reshape(n, 3, n, 3)[c, :, c], compute_uv=False)[:, 0]
+    return [s if s > 1e-14 else 1.0 for s in norms.tolist()], G.T.reshape(n, 3, 3 * n).tolist()
 
 
 def _mode_guess(lam: list, sigma: list, mus: list, scales: list):
@@ -233,7 +228,7 @@ def _mode_guess(lam: list, sigma: list, mus: list, scales: list):
 
 
 def _polish(problem: ContactProblem, mus: list, lam: list, modes: list, rows: list,
-            tol: float, thresholds: ModeThresholds) -> ContactSolution | None:
+            tol: float) -> ContactSolution | None:
     """Newton steps on F = L lam + K sigma = 0: sigma = 0 on the constrained
     rows (K), lam = 0 on the others (L = I - K), and lam_T + mu lam_N
     sigma_T/|sigma_T| = 0 on sliding tangent rows. Returns the first iterate
@@ -255,7 +250,7 @@ def _polish(problem: ContactProblem, mus: list, lam: list, modes: list, rows: li
             lam = lam - np.linalg.solve(L + K @ G, L @ lam + K @ sigma)
             sigma = G @ lam + g
             if (residual := ncp_residual(problem, lam, sigma)) <= tol:
-                found, ambiguous = classify_modes(problem, lam, sigma, thresholds)
+                found, ambiguous = classify_modes(problem, lam, sigma)
                 return (ContactSolution(lam, sigma, found, ambiguous, 0, residual, True, True)
                         if found == modes else None)
     except (np.linalg.LinAlgError, ZeroDivisionError):
@@ -263,8 +258,7 @@ def _polish(problem: ContactProblem, mus: list, lam: list, modes: list, rows: li
     return None
 
 
-def classify_modes(problem: ContactProblem, lam: np.ndarray, sigma=None,
-                   thresholds: ModeThresholds = ModeThresholds()):
+def classify_modes(problem: ContactProblem, lam: np.ndarray, sigma=None):
     """Per-contact mode: Breaking (|lam| ~ 0), Sliding (on the cone
     boundary with tangential slip) or Sticking. Contacts with tangential
     slip but an interior impulse are flagged ambiguous (solver did not
@@ -272,10 +266,12 @@ def classify_modes(problem: ContactProblem, lam: np.ndarray, sigma=None,
     if sigma is None:
         sigma = problem.G @ lam + problem.g
     L, S = np.reshape(lam, (-1, 3)), np.reshape(sigma, (-1, 3))
-    mu, eps_lam = np.asarray(problem.mu, dtype=float), thresholds.lambda_threshold(problem)
-    breaking = np.sqrt(L[:, None, :] @ L[:, :, None])[:, 0, 0] <= eps_lam
-    slip = ~breaking & (mu > 0.0) & (np.hypot(S[:, 0], S[:, 1]) > thresholds.eps_slide)
-    on_cone = np.hypot(L[:, 0], L[:, 1]) >= (1.0 - thresholds.eps_cone) * mu * L[:, 2]
+    mu = np.asarray(problem.mu, dtype=float)
+    g_scale = max(float(np.abs(problem.g).max(initial=0.0)), 1e-6)
+    G_scale = max(float(np.abs(problem.G).max(initial=0.0)), 1e-6)
+    breaking = np.sqrt(L[:, None, :] @ L[:, :, None])[:, 0, 0] <= _EPS_LAMBDA * g_scale / G_scale
+    slip = ~breaking & (mu > 0.0) & (np.hypot(S[:, 0], S[:, 1]) > _EPS_SLIDE)
+    on_cone = np.hypot(L[:, 0], L[:, 1]) >= (1.0 - _EPS_CONE) * mu * L[:, 2]
     modes = [Mode.BREAKING if b else Mode.SLIDING if s else Mode.STICKING
              for b, s in zip(breaking.tolist(), (slip & on_cone).tolist())]
     return modes, slip & ~on_cone

@@ -347,11 +347,3 @@ def step_jacobian(model: KinematicModel, state, tau, params, result, theta="all"
         if t == "q":
             out.dq[t] = Dq + out.dq[t]
     return out
-
-
-def rhs_contact_velocity(model, state, tau, params, result, theta="q") -> np.ndarray:
-    """dG lambda* + dg for one smooth theta block: the frozen-impulse
-    derivative of the contact velocity sigma (3n x n_theta)."""
-    if theta not in _THETAS:
-        raise ValueError("theta must be one of 'q', 'v', 'tau'")
-    return _frozen_impulse_rhs(model, state, params, result, [theta])[1][theta]

@@ -82,14 +82,6 @@ def _body_wrenches(Iw, V, acc):
     return _times(Iw, acc) + force_cross_cols(V[:, :, None], _times(Iw, V))[:, :, 0]
 
 
-def inverse_dynamics(model: KinematicModel, q, v, a) -> np.ndarray:
-    """tau with M(q) a + b(q, v) = tau, gravity included."""
-    kin = compute_kinematics(model, q)
-    J, _, V, _, Xi = _body_terms(model, kin, v)
-    f = _body_wrenches(spatial_inertias_world(model, kin), V, J @ a + Xi + _gravity_offset(model))
-    return _rows(J).T @ f.ravel()
-
-
 @dataclass
 class DynamicsData:
     """Per-step dense dynamics workspace: factorized mass matrix and bias,
@@ -123,9 +115,10 @@ def compute_dynamics(model: KinematicModel, kin: Kinematics, v: np.ndarray) -> D
 
 
 def id_state_derivatives(model: KinematicModel, dyn: DynamicsData, a):
-    """Analytic partials of inverse_dynamics w.r.t. the tangent of q and
-    w.r.t. v, at fixed a, at the state (dyn.kin, v) that compute_dynamics
-    built dyn for; its inertias and body terms are reused.
+    """Analytic partials of the inverse dynamics tau = M(q) a + b(q, v)
+    w.r.t. the tangent of q and w.r.t. v, at fixed a, at the state
+    (dyn.kin, v) that compute_dynamics built dyn for; its inertias and body
+    terms are reused.
 
     Every body term is built from the world axes psi; perturbing tangent
     column k transports psi_j, the body velocity twists and the world
@@ -151,7 +144,7 @@ def id_state_derivatives(model: KinematicModel, dyn: DynamicsData, a):
     dXi, Xi_v = dXi_along(dJv), dXi_along(J)
     h = _times(Iw, V)
     ahat = A + Xi + _gravity_offset(model)
-    Fv = -np.swapaxes(adV, 1, 2)  # V x*, force_cross(V)
+    Fv = -np.swapaxes(adV, 1, 2)  # V x* = -ad_V^T
 
     def dI(x):
         """Operator taking J to the variation of I_i x_i at fixed x_i."""
@@ -168,16 +161,3 @@ def id_state_derivatives(model: KinematicModel, dyn: DynamicsData, a):
 def applied_wrench_q_derivative(model: KinematicModel, dyn: DynamicsData, wrenches) -> np.ndarray:
     """d/dq of sum_b J_b^T phi_b for constant world wrenches phi_b (nb, 6), on dyn.J."""
     return (_rows(dyn.J).T @ _rows(p_operator(wrenches) @ dyn.kin.psi)) * model.row_support
-
-
-def kinetic_energy(model: KinematicModel, q, v) -> float:
-    kin = compute_kinematics(model, q)
-    _, _, V, _, _ = _body_terms(model, kin, v)
-    return float(0.5 * np.sum(V * _times(spatial_inertias_world(model, kin), V)))
-
-
-def potential_energy(model: KinematicModel, q) -> float:
-    """-sum_i m_i g . c_i over the world centers of mass c_i = R_i com_i + p_i."""
-    kin = compute_kinematics(model, q)
-    com_w = (kin.body_rotations @ model._com[:, :, None])[:, :, 0] + kin.body_translations
-    return -float(model._mass @ (com_w @ model.gravity))

@@ -283,9 +283,6 @@ class Kinematics:
     psi: np.ndarray                # (6, nv) world motion-subspace columns
     geom_placements: list
 
-    def body_placement(self, i: int) -> Placement:
-        return Placement(self.body_rotations[i], self.body_translations[i])
-
 
 def compute_kinematics(model: KinematicModel, q: np.ndarray) -> Kinematics:
     """Forward kinematics: body placements, world joint axes and geometry
@@ -387,14 +384,6 @@ def difference_jacobian(model: KinematicModel, q0, q1) -> np.ndarray:
         r = se3_log(M0.inverse().compose(M1))
         D[vs, vs] = se3_right_jacobian_inverse(r)
     return D
-
-
-def body_jacobian_world(model: KinematicModel, kin: Kinematics, body: int) -> np.ndarray:
-    """World spatial Jacobian of a body: columns vanish off the kinematic
-    path."""
-    if body < 0:
-        return np.zeros((6, model.nv))
-    return kin.psi * model.support[:, body]
 
 
 def _parent_rows(model: KinematicModel, X: np.ndarray) -> np.ndarray:

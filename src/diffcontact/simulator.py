@@ -13,28 +13,17 @@ The step's contacts are one stacked collision.ContactSet, in J_c row order.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .collision import NO_CONTACTS, ContactSet, narrow_phase
-from .contact import ContactProblem, ContactSolution, ModeThresholds, solve_ncp
+from .contact import ContactProblem, ContactSolution, solve_ncp
 from .dynamics import DynamicsData, compute_dynamics
 from .model import KinematicModel, compute_kinematics, integrate
 from .spatial import Placement, adjoint_inverse
 
 log = logging.getLogger("diffcontact")
-
-_step_calls = 0
-
-
-def step_call_count() -> int:
-    return _step_calls
-
-
-def reset_step_count() -> None:
-    global _step_calls
-    _step_calls = 0
 
 
 @dataclass(frozen=True)
@@ -45,7 +34,6 @@ class SimParams:
     contact_margin: float = 1e-4
     ncp_tol: float = 1e-10
     ncp_max_iters: int = 10000
-    thresholds: ModeThresholds = field(default_factory=ModeThresholds)
 
     def __post_init__(self):
         if self.dt <= 0.0:
@@ -133,8 +121,6 @@ def contact_jacobian(model: KinematicModel, dyn: DynamicsData, contacts) -> np.n
 def step(model: KinematicModel, state: SimState, tau=None, params: SimParams | None = None,
          warm_start: dict | None = None) -> StepResult:
     """Advance one time step; exact contact solve, no force relaxation."""
-    global _step_calls
-    _step_calls += 1
     params = params or SimParams()
     tau = np.zeros(model.nv) if tau is None else np.asarray(tau, dtype=float)
     dt = params.dt
@@ -161,7 +147,7 @@ def step(model: KinematicModel, state: SimState, tau=None, params: SimParams | N
     lam0 = _keyed_impulses(warm_start, contacts) if warm_start else None
     problem = ContactProblem(G=G, g=g, mu=contacts.friction)
     solution = solve_ncp(problem, tol=params.ncp_tol, max_iters=params.ncp_max_iters,
-                         warm_start=lam0, thresholds=params.thresholds)
+                         warm_start=lam0)
     if not solution.converged:
         log.warning("NCP solve not converged: %d sweeps, residual %.3g, ncp_tol %.3g",
                     solution.iterations, solution.residual, params.ncp_tol)

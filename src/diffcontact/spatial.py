@@ -52,13 +52,6 @@ class Placement:
         Rt = np.swapaxes(self.rotation, -1, -2)
         return Placement(Rt, ((-Rt) @ self.translation[..., None])[..., 0])
 
-    def act(self, point: np.ndarray) -> np.ndarray:
-        return self.rotation @ point + self.translation
-
-    def orthonormality_error(self) -> float:
-        R = self.rotation
-        return float(np.abs(R.T @ R - np.eye(3)).max())
-
 
 def adjoint(M: Placement) -> np.ndarray:
     """6x6 adjoint of a placement; maps local motions to world motions.
@@ -73,11 +66,6 @@ def adjoint(M: Placement) -> np.ndarray:
 
 def adjoint_inverse(M: Placement) -> np.ndarray:
     return adjoint(M.inverse())
-
-
-def adjoint_dual(M: Placement) -> np.ndarray:
-    """Maps local forces to world forces: adjoint(M^-1)^T."""
-    return adjoint_inverse(M).T
 
 
 def spatial_inertia_local(mass: float, com: np.ndarray, inertia: np.ndarray) -> np.ndarray:
@@ -99,12 +87,6 @@ def motion_cross(x: np.ndarray) -> np.ndarray:
     out[..., :3, :3] = out[..., 3:, 3:] = skew(x[..., :3])
     out[..., 3:, :3] = skew(x[..., 3:])
     return out
-
-
-def force_cross(x: np.ndarray) -> np.ndarray:
-    """x x* operator (motion-cross-force): equals -ad_x^T. Stacked like
-    motion_cross."""
-    return -np.swapaxes(motion_cross(x), -1, -2)
 
 
 def p_operator(y: np.ndarray) -> np.ndarray:

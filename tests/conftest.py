@@ -141,3 +141,22 @@ def worst_error(jac, fd, thetas, include_lam=True):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+@pytest.fixture
+def count_steps(monkeypatch):
+    """A list that gains one entry per simulator.step call made through the
+    library. step is wrapped in the three modules that call it by name:
+    simulator (rollout), fd and inverse."""
+    from diffcontact import fd, inverse, simulator
+
+    calls = []
+    inner = simulator.step
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return inner(*args, **kwargs)
+
+    for module in (simulator, fd, inverse):
+        monkeypatch.setattr(module, "step", counted)
+    return calls

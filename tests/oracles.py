@@ -1,12 +1,26 @@
 """Reference functions that only the tests use: the friction-cone
-projections and the De Saxce correction written out on numpy vectors.
+projections and the De Saxce correction written out on numpy vectors, the
+force cross operator, inverse dynamics and the energies, body Jacobians and
+placements, point maps, and the frozen-impulse contact-velocity derivative.
 
 cone_project wraps the solver's own scalar projection, so the tests of the
-projection check the code the PGS sweep runs.
+projection check the code the PGS sweep runs. The dynamics oracles are
+built from the same stacked body terms as compute_dynamics.
 """
 import numpy as np
 
 from diffcontact.contact import _project
+from diffcontact.derivatives import _THETAS, _frozen_impulse_rhs
+from diffcontact.dynamics import (
+    _body_terms,
+    _body_wrenches,
+    _gravity_offset,
+    _rows,
+    _times,
+    spatial_inertias_world,
+)
+from diffcontact.model import compute_kinematics
+from diffcontact.spatial import Placement, motion_cross
 
 
 def cone_project(lam: np.ndarray, mu: float) -> np.ndarray:
@@ -30,3 +44,60 @@ def de_saxce_correction(sigma: np.ndarray, mu) -> np.ndarray:
     out = np.zeros_like(sig)
     out[:, 2] = np.asarray(mu) * np.hypot(sig[:, 0], sig[:, 1])
     return out.reshape(sigma.shape)
+
+
+def force_cross(x: np.ndarray) -> np.ndarray:
+    """x x* operator (motion-cross-force): equals -ad_x^T. Stacked like
+    motion_cross."""
+    return -np.swapaxes(motion_cross(x), -1, -2)
+
+
+def inverse_dynamics(model, q, v, a) -> np.ndarray:
+    """tau with M(q) a + b(q, v) = tau, gravity included."""
+    kin = compute_kinematics(model, q)
+    J, _, V, _, Xi = _body_terms(model, kin, v)
+    f = _body_wrenches(spatial_inertias_world(model, kin), V, J @ a + Xi + _gravity_offset(model))
+    return _rows(J).T @ f.ravel()
+
+
+def kinetic_energy(model, q, v) -> float:
+    kin = compute_kinematics(model, q)
+    _, _, V, _, _ = _body_terms(model, kin, v)
+    return float(0.5 * np.sum(V * _times(spatial_inertias_world(model, kin), V)))
+
+
+def potential_energy(model, q) -> float:
+    """-sum_i m_i g . c_i over the world centers of mass c_i = R_i com_i + p_i."""
+    kin = compute_kinematics(model, q)
+    com_w = (kin.body_rotations @ model._com[:, :, None])[:, :, 0] + kin.body_translations
+    return -float(model._mass @ (com_w @ model.gravity))
+
+
+def body_jacobian_world(model, kin, body: int) -> np.ndarray:
+    """World spatial Jacobian of a body: columns vanish off the kinematic
+    path."""
+    if body < 0:
+        return np.zeros((6, model.nv))
+    return kin.psi * model.support[:, body]
+
+
+def body_placement(kin, i: int) -> Placement:
+    return Placement(kin.body_rotations[i], kin.body_translations[i])
+
+
+def act(M: Placement, point: np.ndarray) -> np.ndarray:
+    """The image M point of a point under a placement."""
+    return M.rotation @ point + M.translation
+
+
+def orthonormality_error(M: Placement) -> float:
+    R = M.rotation
+    return float(np.abs(R.T @ R - np.eye(3)).max())
+
+
+def rhs_contact_velocity(model, state, tau, params, result, theta="q") -> np.ndarray:
+    """dG lambda* + dg for one smooth theta block: the frozen-impulse
+    derivative of the contact velocity sigma (3n x n_theta)."""
+    if theta not in _THETAS:
+        raise ValueError("theta must be one of 'q', 'v', 'tau'")
+    return _frozen_impulse_rhs(model, state, params, result, [theta])[1][theta]

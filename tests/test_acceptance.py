@@ -29,7 +29,6 @@ from diffcontact.derivatives import (
     _contact_packs,
     collision_correction_jtl,
     collision_correction_jv,
-    rhs_contact_velocity,
     sliding_basis,
     step_jacobian,
 )
@@ -44,11 +43,10 @@ from diffcontact.simulator import (
     SimParams,
     SimState,
     detect_contacts,
-    reset_step_count,
     rollout,
     step,
-    step_call_count,
 )
+from oracles import rhs_contact_velocity
 
 
 def _elapsed_ok(t0, budget, label):
@@ -490,7 +488,7 @@ def test_criterion_7_v0_estimation_beats_fd_jacobians():
           f"{elapsed:.1f}s")
 
 
-def test_criterion_8_timing_and_call_count_advantage():
+def test_criterion_8_timing_and_call_count_advantage(count_steps):
     t0 = time.perf_counter()
     model, state, params = load_scene("chain12")
     v = state.v.copy()
@@ -500,13 +498,13 @@ def test_criterion_8_timing_and_call_count_advantage():
     res = step(model, state, tau, params)
     assert res.contacts
 
-    reset_step_count()
+    count_steps.clear()
     jac = step_jacobian(model, state, tau, params, res, theta="all")
-    analytic_calls = step_call_count()
-    reset_step_count()
+    analytic_calls = len(count_steps)
+    count_steps.clear()
     fd = fd_step_jacobian(model, state, tau, params, theta="all", eps=1e-6,
                           base=res)
-    fd_calls = step_call_count()
+    fd_calls = len(count_steps)
     assert fd_calls == 2 * (2 * model.nv + model.nv) == 72
     assert analytic_calls <= 8
 

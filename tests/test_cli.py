@@ -1,7 +1,9 @@
 """End-to-end CLI coverage: scene loading and validation errors, the
-simulate/jacobian/fdcheck/bench/solve-inverse/dump subcommands, CSV
+simulate/jacobian/fdcheck/solve-inverse/dump subcommands, CSV
 determinism, and exit codes."""
 import csv
+import dataclasses
+import importlib.resources
 import json
 import logging
 
@@ -9,6 +11,7 @@ import numpy as np
 import pytest
 
 from diffcontact.cli import SceneError, bundled_scenes, load_scene, main, scene_from_dict
+from diffcontact.simulator import SimParams
 
 GRAVITY = 9.81
 
@@ -335,22 +338,32 @@ def test_solve_inverse_estimate_v0_roundtrip(tmp_path, capsys):
     assert float(obj_line.rsplit(" ", 1)[-1]) < 1e-12
 
 
-def test_bench_smoke(tmp_path, capsys):
-    out_csv = tmp_path / "bench.csv"
-    code, out, _ = run(
-        ["bench", "--scene", "cube_on_plane", "--reps", "30", "--out", str(out_csv)],
-        capsys,
-    )
-    assert code == 0
-    assert "fd/analytic ratio" in out
-    assert "analytic=0" in out  # analytic jacobian does not call step
-    with open(out_csv) as fh:
-        rows = list(csv.reader(fh))
-    assert rows[0] == ["name", "mean_us", "std_us", "reps"]
-    names = [r[0] for r in rows[1:]]
-    assert names == ["step", "step_jacobian_all", "fd_jacobian_all",
-                     "ratio_fd_over_analytic"]
-    assert all(float(r[1]) > 0 for r in rows[1:])
+@pytest.mark.parametrize("argv, words", [
+    (["simulate", "--scene", "free_fall", "--steps", "0"], "--steps: must be > 0"),
+    (["simulate", "--scene", "free_fall", "--steps", "-2"], "--steps: must be > 0"),
+    (["solve-inverse", "--scene", "cube_slide", "--problem", "invdyn", "--horizon", "-3"],
+     "--horizon: must be >= 0"),
+    (["solve-inverse", "--scene", "cube_slide", "--problem", "invdyn", "--max-iters", "0"],
+     "--max-iters: must be > 0"),
+    (["fdcheck", "--scene", "chain12", "--eps", "0"], "--eps: must be > 0"),
+    (["fdcheck", "--scene", "chain12", "--tol", "nan"], "--tol: must be > 0"),
+    (["bench", "--scene", "chain12"], "invalid choice: 'bench'"),
+])
+def test_bad_flags_exit_2_before_running(argv, words, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert "error:" in err and words in err and "Traceback" not in err
+
+
+def test_scene_params_are_exactly_sim_params():
+    """scene_from_dict hands the schema's params straight to SimParams, so
+    the two must name the same fields."""
+    schema = json.loads(
+        importlib.resources.files("diffcontact").joinpath("scene_schema.json").read_text())
+    assert set(schema["properties"]["params"]["properties"]) == {
+        f.name for f in dataclasses.fields(SimParams)}
 
 
 def test_sim_log_env_sets_level(monkeypatch, capsys):

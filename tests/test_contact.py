@@ -18,7 +18,6 @@ from diffcontact.cli import load_scene
 from diffcontact.contact import (
     ContactProblem,
     Mode,
-    ModeThresholds,
     ncp_residual,
     solve_ncp,
 )
@@ -280,9 +279,6 @@ def test_classification_thresholds():
     prob = single([0.0, 0.0, 1.0], 0.5)
     sol = solve_ncp(prob)
     assert sol.modes == [Mode.BREAKING]
-    th = ModeThresholds(eps_lambda=2.0)
-    sol2 = solve_ncp(single([0.0, 0.0, -1.0], 0.5), thresholds=th)
-    assert sol2.modes == [Mode.BREAKING]  # impulse below the forced threshold
 
 
 def test_ambiguity_flag_on_inconsistent_state():
@@ -391,6 +387,21 @@ def numpy_pgs(prob, sweeps, warm_start):
     return lam
 
 
+def test_sweep_setup_matches_per_block_loop():
+    """The stacked set-up gives bit for bit the per-contact spectral norms
+    and column blocks, including the 1.0 fallback for a vanished block."""
+    gen = np.random.default_rng(45)
+    for n in range(1, 7):
+        G = random_psd_problem(gen, n).G
+        G[3 * (n - 1) :, 3 * (n - 1) :] = 0.0
+        scales, cols = contact._sweep_setup(G, n)
+        for c in range(n):
+            s = float(np.linalg.norm(G[3 * c : 3 * c + 3, 3 * c : 3 * c + 3], 2))
+            assert scales[c] == (s if s > 1e-14 else 1.0)
+            assert cols[c] == G[:, 3 * c : 3 * c + 3].T.tolist()
+        assert scales[-1] == 1.0
+
+
 @pytest.mark.parametrize("sweeps", [1, 7, 130])
 def test_solver_iterates_match_numpy_sweep(sweeps):
     gen = np.random.default_rng(46)
@@ -490,13 +501,14 @@ def test_polished_random_problems_satisfy_principles():
     assert polished >= 10
 
 
-def test_polish_is_rejected_when_classification_disagrees():
-    """With eps_lambda above every impulse, classify_modes calls each
-    contact breaking, while the projection branches say active: the polish
-    meets the tolerance but changes the modes, so PGS must finish alone."""
+def test_polish_is_rejected_when_classification_disagrees(monkeypatch):
+    """With the breaking threshold above every impulse, classify_modes calls
+    each contact breaking, while the projection branches say active: the
+    polish meets the tolerance but changes the modes, so PGS must finish
+    alone."""
+    monkeypatch.setattr(contact, "_EPS_LAMBDA", math.inf)
     gen = np.random.default_rng(48)
-    thresholds = ModeThresholds(eps_lambda=1e6)
     for _ in range(40):
         prob = random_psd_problem(gen, int(gen.integers(1, 5)))
-        sol = solve_ncp(prob, tol=1e-12, max_iters=200000, thresholds=thresholds)
+        sol = solve_ncp(prob, tol=1e-12, max_iters=200000)
         assert sol.converged and not sol.polished

@@ -24,7 +24,6 @@ from diffcontact.derivatives import (
     assemble_reduced_system,
     collision_correction_jtl,
     collision_correction_jv,
-    rhs_contact_velocity,
     sliding_basis,
     solve_reduced,
     step_jacobian,
@@ -43,6 +42,7 @@ from diffcontact.model import (
 )
 from diffcontact.simulator import SimState, contact_jacobian, detect_contacts, rollout, step
 from diffcontact.spatial import Placement
+from oracles import rhs_contact_velocity
 
 
 def axis_angle_quat(axis, angle):

@@ -19,14 +19,12 @@ from diffcontact.dynamics import (
     applied_wrench_q_derivative,
     compute_dynamics,
     id_state_derivatives,
-    inverse_dynamics,
-    kinetic_energy,
-    potential_energy,
     spatial_inertia_local,
     spatial_inertias_world,
 )
-from diffcontact.model import body_jacobian_world, compute_kinematics, integrate
+from diffcontact.model import compute_kinematics, integrate
 from diffcontact.spatial import skew
+from oracles import body_jacobian_world, inverse_dynamics, kinetic_energy, potential_energy
 
 rng = np.random.default_rng(23)
 

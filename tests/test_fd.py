@@ -14,13 +14,7 @@ from diffcontact.fd import (
     with_pair_mu,
 )
 from diffcontact.model import difference
-from diffcontact.simulator import (
-    SimState,
-    reset_step_count,
-    rollout_jacobian,
-    step,
-    step_call_count,
-)
+from diffcontact.simulator import SimState, rollout_jacobian, step
 
 
 def test_perturb_state_keeps_unit_quaternion():
@@ -56,23 +50,27 @@ def test_with_pair_mu_does_not_mutate_original():
     assert bumped.nv == model.nv and len(bumped.geometries) == len(model.geometries)
 
 
-def test_step_call_count_with_and_without_base():
+def test_step_call_count_with_and_without_base(count_steps):
     model = cube_model(mu=0.5)
     params = tight_params()
     state = cube_state(model, z=0.1, v=[0, 0, 0, 0.4, 0, 0])
     base = step(model, state, None, params)
 
-    reset_step_count()
+    count_steps.clear()
     fd_step_jacobian(model, state, None, params, theta="all", base=base)
-    assert step_call_count() == 2 * 3 * model.nv  # 36: no base re-solve
+    assert len(count_steps) == 2 * 3 * model.nv  # 36: no base re-solve
 
-    reset_step_count()
+    count_steps.clear()
     fd_step_jacobian(model, state, None, params, theta="all")
-    assert step_call_count() == 2 * 3 * model.nv + 1
+    assert len(count_steps) == 2 * 3 * model.nv + 1
 
-    reset_step_count()
+    count_steps.clear()
     fd_step_jacobian(model, state, None, params, theta="v", base=base)
-    assert step_call_count() == 2 * model.nv
+    assert len(count_steps) == 2 * model.nv
+
+    count_steps.clear()
+    step_jacobian(model, state, None, params, base, theta="all")
+    assert len(count_steps) == 0  # the analytic Jacobian reuses the step
 
 
 def test_fd_blocks_shapes_and_mu_column():

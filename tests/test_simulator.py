@@ -16,11 +16,9 @@ from diffcontact.model import difference, integrate
 from diffcontact.simulator import (
     SimParams,
     SimState,
-    reset_step_count,
     rollout,
     rollout_jacobian,
     step,
-    step_call_count,
     trajectory_rows,
 )
 
@@ -256,16 +254,15 @@ def test_rollout_jacobian_rejects_bad_mu_pair_before_rolling_out(monkeypatch, mu
                          mu_pair=mu_pair)
 
 
-def test_rollout_rejects_short_torque_sequence_before_stepping():
+def test_rollout_rejects_short_torque_sequence_before_stepping(count_steps):
     """A 2-D torque sequence with fewer rows than the horizon fails before
     the first step rather than partway through the rollout."""
     model = sphere_model()
     state = SimState(np.array([0.0, 0.0, 2.0, 0.0, 0.0, 0.0, 1.0]), np.zeros(6))
     for run in (rollout, rollout_jacobian):
-        reset_step_count()
         with pytest.raises(ValueError, match="fewer than horizon"):
             run(model, state, np.zeros((3, model.nv)), 5)
-        assert step_call_count() == 0
+        assert len(count_steps) == 0
 
 
 def test_rollout_final_state_matches_stepwise():

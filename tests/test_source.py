@@ -1,0 +1,57 @@
+"""Guards on the library source: nothing in src/diffcontact/ is kept for
+the tests alone. Test-only reference code belongs in tests/oracles.py."""
+import ast
+from collections import Counter
+from pathlib import Path
+
+import diffcontact
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "diffcontact"
+
+
+def _names_used(node) -> Counter:
+    """Identifiers a syntax tree refers to: names, attributes, imported
+    names and string constants that spell an identifier (setattr targets)."""
+    used = Counter()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            used[sub.id] += 1
+        elif isinstance(sub, ast.Attribute):
+            used[sub.attr] += 1
+        elif isinstance(sub, ast.alias):
+            used[sub.name.rsplit(".", 1)[-1]] += 1
+        elif isinstance(sub, ast.Constant) and isinstance(sub.value, str) \
+                and sub.value.isidentifier():
+            used[sub.value] += 1
+    return used
+
+
+def _definitions(tree):
+    """(label, name, node) of each module-level def and class and of each
+    method of a module-level class."""
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    for node in tree.body:
+        if isinstance(node, defs):
+            yield node.name, node.name, node
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, defs):
+                    yield f"{node.name}.{item.name}", item.name, item
+
+
+def test_every_library_definition_has_a_user_outside_the_tests():
+    sources = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "benchmark").glob("*.py"))
+    trees = {path: ast.parse(path.read_text()) for path in sources}
+    used = sum((_names_used(tree) for tree in trees.values()), Counter())
+    unused = []
+    for path, tree in trees.items():
+        if path.parent != PACKAGE:
+            continue
+        for label, name, node in _definitions(tree):
+            if name.startswith("__") and name.endswith("__"):
+                continue
+            # uses inside the definition itself (recursion) do not count
+            if used[name] - _names_used(node)[name] <= 0 and name not in diffcontact.__all__:
+                unused.append(f"{path.name}: {label}")
+    assert not unused, f"defined in src/ but named nowhere in src/ or benchmark/: {unused}"

@@ -11,9 +11,7 @@ from hypothesis import strategies as st
 from diffcontact.spatial import (
     Placement,
     adjoint,
-    adjoint_dual,
     adjoint_inverse,
-    force_cross,
     force_cross_cols,
     motion_cross,
     motion_cross_cols,
@@ -29,6 +27,7 @@ from diffcontact.spatial import (
     so3_log,
     unskew,
 )
+from oracles import act, force_cross, orthonormality_error
 
 rng = np.random.default_rng(7)
 
@@ -93,10 +92,10 @@ def test_placement_compose_inverse():
         M1, M2 = random_placement(rng), random_placement(rng)
         M = M1.compose(M2)
         p = rng.uniform(-1, 1, 3)
-        np.testing.assert_allclose(M.act(p), M1.act(M2.act(p)), atol=1e-12)
+        np.testing.assert_allclose(act(M, p), act(M1, act(M2, p)), atol=1e-12)
         Minv = M.inverse()
-        np.testing.assert_allclose(Minv.act(M.act(p)), p, atol=1e-12)
-        assert M.orthonormality_error() < 1e-12
+        np.testing.assert_allclose(act(Minv, act(M, p)), p, atol=1e-12)
+        assert orthonormality_error(M) < 1e-12
 
 
 def test_adjoint_is_group_homomorphism():
@@ -107,11 +106,10 @@ def test_adjoint_is_group_homomorphism():
         )
 
 
-def test_adjoint_inverse_and_dual():
+def test_adjoint_inverse():
     for _ in range(10):
         M = random_placement(rng)
         np.testing.assert_allclose(adjoint_inverse(M) @ adjoint(M), np.eye(6), atol=1e-12)
-        np.testing.assert_allclose(adjoint_dual(M), np.linalg.inv(adjoint(M)).T, atol=1e-11)
 
 
 def _adjoint_by_blocks(R, t):
