@@ -22,6 +22,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg.lapack import dsyev
@@ -66,6 +67,16 @@ class ContactProblem:
     @property
     def n(self) -> int:
         return len(self.mu)
+
+    @cached_property
+    def mus(self) -> list:
+        """mu as Python floats, for the sweep and the residual."""
+        return np.asarray(self.mu, dtype=float).tolist()
+
+    @cached_property
+    def residual_scale(self) -> float:
+        """max(1, |g|_inf), the divisor of ncp_residual."""
+        return max(1.0, max(map(abs, self.g.tolist())))
 
 
 @dataclass
@@ -131,8 +142,7 @@ def ncp_residual(problem: ContactProblem, lam, sigma=None) -> float:
     if not math.isfinite(sum(lam) + sum(sigma)):
         return math.nan  # max() below would drop a NaN term
     worst = 0.0
-    mus = np.asarray(problem.mu, dtype=float).tolist()
-    for mu, (l0, l1, l2), (s0, s1, s2) in zip(mus, _triples(lam), _triples(sigma)):
+    for mu, (l0, l1, l2), (s0, s1, s2) in zip(problem.mus, _triples(lam), _triples(sigma)):
         s_t = math.hypot(s0, s1)
         y2 = s2 + mu * s_t  # normal part of y = sigma + Gamma(sigma)
         dual = max(-y2, 0.0) if mu == 0.0 else _cone_distance(s0, s1, y2, 1.0 / mu)
@@ -144,7 +154,7 @@ def ncp_residual(problem: ContactProblem, lam, sigma=None) -> float:
             abs(l0 * s0 + l1 * s1 + l2 * y2) / lam_scale,
             math.hypot(l0 * s_t + mu * l2 * s0, l1 * s_t + mu * l2 * s1) / lam_scale,
         )
-    return worst / max(1.0, max(map(abs, problem.g.tolist())))
+    return worst / problem.residual_scale
 
 
 def solve_ncp(problem: ContactProblem, tol: float = 1e-10, max_iters: int = 10000,
@@ -159,8 +169,7 @@ def solve_ncp(problem: ContactProblem, tol: float = 1e-10, max_iters: int = 1000
     n = problem.n
     if n == 0:
         return ContactSolution(np.zeros(0), np.zeros(0), [], np.zeros(0, bool), 0, 0.0, True)
-    G, g = problem.G, problem.g
-    mus = np.asarray(problem.mu, dtype=float).tolist()
+    G, g, mus = problem.G, problem.g, problem.mus
     lam = [0.0] * (3 * n)
     if warm_start is not None and np.shape(warm_start) != (3 * n,):
         raise ValueError(f"warm start of shape {np.shape(warm_start)}, expected ({3 * n},)")

@@ -23,6 +23,13 @@ ContactSet along the rows of its body Jacobians, once per pair), and the
 stabilization terms. The contact packs are stacked along a leading contact
 axis around one batched inverse adjoint per step, so the wrench,
 correction and rhs terms are too.
+
+Each block's velocity derivative is dv = dvp + M^-1 J_c^T dlambda, with dvp
+the derivative of v+ at frozen impulse. M^-1 is formed once per
+step_jacobian call, by the call's one Cholesky solve, and only when a q, v
+or tau block is asked for; the q block sums its generalized forces before
+that one product. M^-1 J_c^T is the array simulator.step built for G
+(StepResult.Minv_JcT), so a mu-only call solves with M not at all.
 """
 from __future__ import annotations
 
@@ -44,7 +51,7 @@ from .model import (
     integrate_jacobians,
     jv_q_derivatives,
 )
-from .simulator import _body_rows, contact_frame_jacobians
+from .simulator import _body_rows, _is_pair_index, contact_frame_jacobians
 from .spatial import motion_cross, p_operator
 
 
@@ -218,9 +225,8 @@ def _parse_theta(theta, npairs: int):
             smooth.add(t)
         elif t == "mu":
             mu_cols = list(range(npairs))
-        elif (isinstance(t, tuple) and len(t) == 2 and t[0] == "mu"
-              and isinstance(t[1], int) and 0 <= t[1] < npairs):
-            mu_cols = [t[1]]
+        elif isinstance(t, tuple) and len(t) == 2 and t[0] == "mu" and _is_pair_index(t[1], npairs):
+            mu_cols = [int(t[1])]
         else:
             raise ValueError(
                 f"theta must be 'all', 'q', 'v', 'tau', 'mu', ('mu', k) with 0 <= k < "
@@ -246,10 +252,12 @@ def _frozen_impulse_rhs(model, state, params, result, smooth):
         packs = _contact_packs(model, dyn, contacts)
 
     dvp = {}
+    if smooth:
+        Minv = dyn.solve(np.eye(nv))  # the one solve with M of the Jacobian
     if "q" in smooth or "v" in smooth:
         dID_q, dID_v = id_state_derivatives(model, dyn, (v_plus - v) / dt)
     if "q" in smooth:
-        dvp["q"] = -dt * dyn.solve(dID_q)
+        force_q = -dt * dID_q
         if contacts:
             # Frozen-impulse generalized-force variation: fixed world wrench
             # per contact plus the frame-variation corrections. The last row
@@ -261,11 +269,12 @@ def _frozen_impulse_rhs(model, state, params, result, smooth):
             np.add.at(wrenches, contacts.bodies.ravel(),
                       np.stack([phi_w, -phi_w], axis=1).reshape(-1, 6))
             JTL = collision_correction_jtl(packs, lam)
-            dvp["q"] += dyn.solve(applied_wrench_q_derivative(model, dyn, wrenches[:-1]) + JTL)
+            force_q = force_q + applied_wrench_q_derivative(model, dyn, wrenches[:-1]) + JTL
+        dvp["q"] = Minv @ force_q
     if "v" in smooth:
-        dvp["v"] = np.eye(nv) - dt * dyn.solve(dID_v)
+        dvp["v"] = np.eye(nv) - dt * (Minv @ dID_v)
     if "tau" in smooth:
-        dvp["tau"] = dt * dyn.solve(np.eye(nv))
+        dvp["tau"] = dt * Minv
 
     rhs = {t: result.J_c @ dvp[t] for t in smooth}
     # Kinematic + frame variation of J_c v+ and the stabilization terms:
@@ -309,11 +318,10 @@ def step_jacobian(model: KinematicModel, state, tau, params, result, theta="all"
     theta is "all" (q, v, tau), one of "q", "v", "tau", "mu" (one column
     per friction pair) or ("mu", k) (pair k), or a list of these; anything
     else raises ValueError. `result` must come from simulator.step at
-    (state, tau, params); its kinematics and dynamics are reused.
+    (state, tau, params); its kinematics, dynamics and M^-1 J_c^T are reused.
     Breaking contacts contribute zero derivative rows; at the activation
     boundary this is the one-sided derivative from the inactive side."""
     smooth, mu_cols = _parse_theta(theta, len(model.pairs))
-    dyn = result.dyn
     contacts = result.contacts
 
     out = StepJacobian()
@@ -338,7 +346,7 @@ def step_jacobian(model: KinematicModel, state, tau, params, result, theta="all"
         if t == "mu":
             dlam_t = dlam_t + p_dir
         out.dlam[t] = dlam_t
-        out.dv[t] = dvp_t + dyn.solve(result.J_c.T @ dlam_t)
+        out.dv[t] = dvp_t + result.Minv_JcT @ dlam_t
 
     dt = params.dt
     Dq, Dd = integrate_jacobians(model, state.q, dt * result.state.v)

@@ -13,6 +13,7 @@ The step's contacts are one stacked collision.ContactSet, in J_c row order.
 from __future__ import annotations
 
 import logging
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,6 +67,7 @@ class StepResult:
     problem: ContactProblem | None
     solution: ContactSolution | None
     J_c: np.ndarray                 # (3n, nv) contact Jacobian at the input q
+    Minv_JcT: np.ndarray            # (nv, 3n) M^-1 J_c^T, built for G; step_jacobian reuses it
     v_free: np.ndarray              # unconstrained end-of-step velocity
     dyn: DynamicsData               # dynamics at the input state; dyn.kin is its kinematics
 
@@ -133,10 +135,11 @@ def step(model: KinematicModel, state: SimState, tau=None, params: SimParams | N
     if not contacts:
         q_next = integrate(model, state.q, dt * v_free)
         return StepResult(SimState(q_next, v_free), contacts, None, None,
-                          np.zeros((0, model.nv)), v_free, dyn)
+                          np.zeros((0, model.nv)), np.zeros((model.nv, 0)), v_free, dyn)
 
     J_c = contact_jacobian(model, dyn, contacts)
-    G = J_c @ dyn.solve(J_c.T)
+    Minv_JcT = dyn.solve(J_c.T)
+    G = J_c @ Minv_JcT
     G = 0.5 * (G + G.T)
     g = J_c @ v_free
     phi_rate = contacts.phi / dt
@@ -154,7 +157,8 @@ def step(model: KinematicModel, state: SimState, tau=None, params: SimParams | N
 
     v_next = v_free + dyn.solve(J_c.T @ solution.lam)
     q_next = integrate(model, state.q, dt * v_next)
-    return StepResult(SimState(q_next, v_next), contacts, problem, solution, J_c, v_free, dyn)
+    return StepResult(SimState(q_next, v_next), contacts, problem, solution, J_c, Minv_JcT,
+                      v_free, dyn)
 
 
 def _tau_sequence(tau_seq, horizon: int, nv: int) -> np.ndarray:
@@ -186,13 +190,18 @@ def rollout(model: KinematicModel, state0: SimState, tau_seq=None, horizon: int 
     return results
 
 
+def _is_pair_index(k, npairs: int) -> bool:
+    """k is an integer (Python or numpy, not a bool) with 0 <= k < npairs."""
+    return isinstance(k, numbers.Integral) and not isinstance(k, bool) and 0 <= k < npairs
+
+
 def _check_rollout_theta(model: KinematicModel, theta: str, mu_pair: int):
     """Raise ValueError unless theta is 'q0', 'v0', 'tau0' or 'mu', and,
     for 'mu', mu_pair indexes one of the model's friction pairs."""
     if theta not in ("q0", "v0", "tau0", "mu"):
         raise ValueError("theta must be 'q0', 'v0', 'tau0' or 'mu'")
     npairs = len(model.pairs)
-    if theta == "mu" and not (isinstance(mu_pair, int) and 0 <= mu_pair < npairs):
+    if theta == "mu" and not _is_pair_index(mu_pair, npairs):
         raise ValueError(f"mu_pair must be an int with 0 <= mu_pair < {npairs}; got {mu_pair!r}")
 
 

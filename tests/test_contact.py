@@ -192,6 +192,19 @@ def test_residual_flags_misaligned_friction():
     assert ncp_residual(prob, rot) > 0.1 * ang
 
 
+def test_residual_reads_per_problem_constants_cached_on_first_call():
+    """The mu floats and the max(1, |g|_inf) divisor are computed once per
+    problem; a second call on the same problem returns the same floats."""
+    prob = random_psd_problem(np.random.default_rng(5), 4, scale=3.0)
+    lam = np.random.default_rng(6).normal(size=12)
+    first = ncp_residual(prob, lam)
+    assert {"mus", "residual_scale"} <= vars(prob).keys()
+    assert ncp_residual(prob, lam) == first
+    assert ncp_residual(prob, lam, prob.G @ lam + prob.g) == first
+    assert prob.residual_scale == max(1.0, float(np.abs(prob.g).max()))
+    assert prob.mus == [float(m) for m in prob.mu]
+
+
 def test_solver_monotone_on_one_contact_family():
     gen = np.random.default_rng(43)
     g = np.array([0.8, -0.3, -1.2])

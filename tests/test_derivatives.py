@@ -14,7 +14,7 @@ from conftest import (
     tight_params,
     translation,
 )
-from diffcontact import collision, derivatives
+from diffcontact import collision, derivatives, dynamics
 from diffcontact.cli import load_scene
 from diffcontact.collision import Halfspace, Sphere
 from diffcontact.contact import ContactProblem, ContactSolution, Mode, solve_ncp
@@ -187,12 +187,49 @@ def test_step_jacobian_matches_fd(name):
         assert max(errs_mu.values()) < 2e-5, f"{name}: {errs_mu}"
 
 
-@pytest.mark.parametrize("theta", ["bogus", ("mu", 5), ("mu", -1), ("tau",), ["q", "x"], []])
+@pytest.mark.parametrize("theta", ["bogus", ("mu", 5), ("mu", -1), ("tau",), ["q", "x"], [],
+                                   ("mu", True), ("mu", False), ("mu", np.True_), ("mu", 1.0),
+                                   ("mu", np.int64(4)), ("mu", np.int64(-1))])
 def test_step_jacobian_rejects_unknown_theta(theta):
-    model, state, params = load_scene("cube_slide")
+    """chain12 has four friction pairs, so ("mu", True) would index pair 1
+    if bools counted as integers."""
+    model, state, params = load_scene("chain12")
     res = step(model, state, None, params)
     with pytest.raises(ValueError):
         step_jacobian(model, state, None, params, res, theta=theta)
+
+
+def test_step_jacobian_accepts_numpy_pair_index():
+    model, state, params = load_scene("cube_slide")
+    res = step(model, state, None, params)
+    ref = step_jacobian(model, state, None, params, res, theta=("mu", 0))
+    for k in (np.int64(0), np.int32(0), np.intp(0)):
+        jac = step_jacobian(model, state, None, params, res, theta=("mu", k))
+        for blk in ("dv", "dq", "dlam"):
+            assert np.array_equal(getattr(jac, blk)["mu"], getattr(ref, blk)["mu"])
+
+
+@pytest.mark.parametrize("scene", ["cube_slide", "chain12"])
+def test_step_jacobian_reuses_step_mass_matrix_solves(monkeypatch, scene):
+    """step keeps the M^-1 J_c^T it builds G from; step_jacobian forms M^-1
+    once for the q, v and tau blocks and solves with M not at all for mu."""
+    model, state, params = load_scene(scene)
+    res = step(model, state, None, params)
+    assert res.contacts
+    G = res.J_c @ res.Minv_JcT
+    assert np.array_equal(res.problem.G, 0.5 * (G + G.T))
+    calls, cho_solve = [], dynamics.cho_solve
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return cho_solve(*args, **kwargs)
+
+    monkeypatch.setattr(dynamics, "cho_solve", counting)
+    step_jacobian(model, state, None, params, res, theta="all")
+    assert len(calls) <= 1
+    calls.clear()
+    step_jacobian(model, state, None, params, res, theta="mu")
+    assert calls == []
 
 
 def test_step_jacobian_reuses_step_dynamics(monkeypatch):
@@ -345,6 +382,7 @@ def test_no_contact_lam_blocks_empty():
     for t in ("q", "v", "tau"):
         assert jac.dlam[t].shape == (0, 6)
     assert not jac.rank_deficient and not jac.boundary
+    assert res.Minv_JcT.shape == (sc["model"].nv, 0)
 
 
 # -- sliding basis ----------------------------------------------------------

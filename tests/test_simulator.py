@@ -242,16 +242,26 @@ def test_rollout_jacobian_rejects_unknown_theta():
         rollout_jacobian(model, state, None, horizon=2, params=params, theta="x")
 
 
-@pytest.mark.parametrize("mu_pair", [-1, 99])
+@pytest.mark.parametrize("mu_pair", [-1, 99, True, False, 1.0, np.int64(4), np.int64(-1)])
 def test_rollout_jacobian_rejects_bad_mu_pair_before_rolling_out(monkeypatch, mu_pair):
+    """chain12 has four friction pairs, so True would index pair 1 if bools
+    counted as integers."""
     def no_rollout(*args, **kwargs):
         raise AssertionError("rolled out before validating mu_pair")
 
     monkeypatch.setattr(simulator, "rollout", no_rollout)
-    model, state, params = load_scene("cube_slide")
+    model, state, params = load_scene("chain12")
     with pytest.raises(ValueError, match="mu_pair"):
         rollout_jacobian(model, state, None, horizon=2, params=params, theta="mu",
                          mu_pair=mu_pair)
+
+
+def test_rollout_jacobian_accepts_numpy_mu_pair():
+    model, state, params = load_scene("chain12")
+    ref = rollout_jacobian(model, state, None, horizon=2, params=params, theta="mu", mu_pair=1)
+    got = rollout_jacobian(model, state, None, horizon=2, params=params, theta="mu",
+                           mu_pair=np.int64(1))
+    assert np.array_equal(got[1], ref[1]) and np.array_equal(got[2], ref[2])
 
 
 def test_rollout_rejects_short_torque_sequence_before_stepping(count_steps):
