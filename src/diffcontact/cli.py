@@ -24,7 +24,7 @@ from .derivatives import step_jacobian
 from .fd import fd_step_jacobian
 from .inverse import GnSettings, estimate_initial_conditions, inverse_dynamics_contact
 from .model import BodyInertia, FrictionPair, Geometry, JointSpec, KinematicModel
-from .simulator import SimParams, SimState, rollout, step, trajectory_rows
+from .simulator import SimParams, SimState, rollout, step, trajectory_header, trajectory_rows
 from .spatial import Placement, quat_to_rotation
 
 log = logging.getLogger("diffcontact")
@@ -173,21 +173,12 @@ def _write_csv(path, header, rows):
             w.writerow([f"{x:.17g}" if isinstance(x, float) else x for x in row])
 
 
-def _trajectory_header(model):
-    head = ["step"]
-    head += [f"q{i}" for i in range(model.nq)]
-    head += [f"v{i}" for i in range(model.nv)]
-    head += ["residual", "n_contacts"]
-    head += ["per-contact: pair_a,pair_b,feature,mode,phi,lam_t1,lam_t2,lam_n"]
-    return head
-
-
 def cmd_simulate(args) -> int:
     model, state, params = load_scene(args.scene)
     results = rollout(model, state, None, args.steps, params)
     rows = trajectory_rows(results)
     if args.out:
-        _write_csv(args.out, _trajectory_header(model), rows)
+        _write_csv(args.out, trajectory_header(model), rows)
         log.info("wrote %d steps to %s", len(rows), args.out)
     final = results[-1].state
     print(f"simulated {args.steps} steps of '{args.scene}'")

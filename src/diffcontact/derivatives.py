@@ -66,8 +66,6 @@ class SlidingBasis:
 
     R: np.ndarray      # (..., 3, 2)
     P: np.ndarray      # (..., 3, 3)
-    alpha: np.ndarray  # (...)
-    slip_dir: np.ndarray  # (..., 2) unit tangential slip direction u
 
 
 def sliding_basis(lam_c: np.ndarray, sigma_c: np.ndarray, mu) -> SlidingBasis:
@@ -86,7 +84,7 @@ def sliding_basis(lam_c: np.ndarray, sigma_c: np.ndarray, mu) -> SlidingBasis:
     P = np.zeros(lam_c.shape[:-1] + (3, 3))
     P[..., :2, :2] = (np.eye(2) - u[..., :, None] * u[..., None, :]) / alpha[..., None, None]
     P[..., 2, 2] = 1.0
-    return SlidingBasis(R=R, P=P, alpha=alpha, slip_dir=u)
+    return SlidingBasis(R=R, P=P)
 
 
 @dataclass
@@ -101,10 +99,6 @@ class ReducedSystem:
     Vt: np.ndarray     # (m, m)
     s_inv: np.ndarray  # (m,) 1/s on the kept singular values, 0 on the cut ones
     deficient: bool    # redundant active set: a singular value was cut
-
-    @property
-    def size(self) -> int:
-        return self.A.shape[0]
 
 
 def assemble_reduced_system(problem: ContactProblem, solution: ContactSolution) -> ReducedSystem:
@@ -349,7 +343,7 @@ def step_jacobian(model: KinematicModel, state, tau, params, result, theta="all"
         out.dv[t] = dvp_t + result.Minv_JcT @ dlam_t
 
     dt = params.dt
-    Dq, Dd = integrate_jacobians(model, state.q, dt * result.state.v)
+    Dq, Dd = integrate_jacobians(model, dt * result.state.v)
     for t, dv_t in out.dv.items():
         out.dq[t] = dt * (Dd @ dv_t)
         if t == "q":

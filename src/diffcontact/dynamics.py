@@ -41,7 +41,6 @@ from .model import (
     _body_twists,
     _jv_q,
     _parent_rows,
-    compute_kinematics,
 )
 from .spatial import (
     force_cross_cols,
@@ -49,7 +48,6 @@ from .spatial import (
     motion_cross_cols,  # noqa: F401  unused; the benchmark tracer patches this name
     p_operator,
     skew,
-    spatial_inertia_local,  # noqa: F401  public here; KinematicModel stacks it once
 )
 
 

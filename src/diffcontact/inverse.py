@@ -132,16 +132,14 @@ def estimate_initial_conditions(model: KinematicModel, state0: SimState, target_
     def residual(theta):
         st, taus = unpack(theta)
         if jacobian == "analytic":
-            results, Jq, _ = rollout_jacobian(model, st, taus, horizon, params,
-                                              theta="v0" if theta_kind == "v0" else "tau0")
+            results, Jq, _ = rollout_jacobian(model, st, taus, horizon, params, theta=theta_kind)
             q_T = results[-1].state.q
         else:
             results = rollout(model, st, taus, horizon, params)
             q_T = results[-1].state.q
             from .fd import fd_rollout_jacobian
             Jq, _ = fd_rollout_jacobian(model, st, taus, horizon, params,
-                                        theta="v0" if theta_kind == "v0" else "tau0",
-                                        eps=fd_eps)
+                                        theta=theta_kind, eps=fd_eps)
         r = difference(model, target_q, q_T)
         J = difference_jacobian(model, target_q, q_T) @ Jq
         return r, J
@@ -152,7 +150,7 @@ def estimate_initial_conditions(model: KinematicModel, state0: SimState, target_
 
 def inverse_dynamics_contact(model: KinematicModel, state: SimState, v_target: np.ndarray,
                              params: SimParams | None = None,
-                             settings: GnSettings = GnSettings(), tau0=None):
+                             settings: GnSettings = GnSettings()):
     """Actuation torques driving the contact step to v+ = v_target.
     Returns (tau_act, trace); tau_act has one entry per actuated dof."""
     params = params or SimParams()
@@ -165,5 +163,4 @@ def inverse_dynamics_contact(model: KinematicModel, state: SimState, v_target: n
         jac = step_jacobian(model, state, tau, params, res, theta="tau")
         return res.state.v - v_target, jac.dv["tau"] @ S.T
 
-    theta0 = np.zeros(S.shape[0]) if tau0 is None else np.asarray(tau0, dtype=float)
-    return gauss_newton(residual, theta0, settings)
+    return gauss_newton(residual, np.zeros(S.shape[0]), settings)

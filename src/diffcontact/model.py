@@ -156,8 +156,6 @@ class KinematicModel:
         self._inertia_local = np.array(
             [spatial_inertia_local(b.mass, b.com, b.inertia) for b in self.inertias]
         ).reshape(self.nb, 6, 6)
-        self._mass = np.array([b.mass for b in self.inertias], dtype=float)
-        self._com = np.array([b.com for b in self.inertias], dtype=float).reshape(self.nb, 3)
         self._stack_joints()
 
         if actuated is None:
@@ -252,16 +250,11 @@ class KinematicModel:
 
     def neutral_configuration(self) -> np.ndarray:
         q = np.zeros(self.nq)
-        for i, j in enumerate(self.joints):
-            if j.kind == "free":
-                q[self.q_offsets[i] + 6] = 1.0
+        q[self._free_q[:, 6]] = 1.0
         return q
 
     def selection_matrix(self) -> np.ndarray:
-        S = np.zeros((len(self.actuated), self.nv))
-        for row, idx in enumerate(self.actuated):
-            S[row, idx] = 1.0
-        return S
+        return np.eye(self.nv)[self.actuated]
 
     def check_configuration(self, q: np.ndarray):
         if q.shape != (self.nq,):
@@ -277,7 +270,6 @@ class KinematicModel:
 class Kinematics:
     """Forward-kinematics cache for one configuration."""
 
-    q: np.ndarray
     body_rotations: np.ndarray     # (nb, 3, 3)
     body_translations: np.ndarray  # (nb, 3)
     psi: np.ndarray                # (6, nv) world motion-subspace columns
@@ -325,7 +317,7 @@ def compute_kinematics(model: KinematicModel, q: np.ndarray) -> Kinematics:
         pg = (Rb @ model._geom_trans[:, :, None])[:, :, 0] + p[model._geom_body]
         for k, Rk, pk in zip(model._geom_att, Rg, pg):
             geom_placements[k] = Placement(Rk, pk)
-    return Kinematics(q, R, p, psi, geom_placements)
+    return Kinematics(R, p, psi, geom_placements)
 
 
 def integrate(model: KinematicModel, q: np.ndarray, dq: np.ndarray) -> np.ndarray:
@@ -359,8 +351,9 @@ def difference(model: KinematicModel, q0: np.ndarray, q1: np.ndarray) -> np.ndar
     return out
 
 
-def integrate_jacobians(model: KinematicModel, q, dq):
-    """Partials of integrate(q, dq) w.r.t. the tangents of q and dq.
+def integrate_jacobians(model: KinematicModel, dq):
+    """Partials of integrate(q, dq) w.r.t. the tangents of q and dq; in this
+    chart they depend on dq alone.
 
     Both are nv x nv block-diagonal; the q block is expressed in the tangent
     at the result."""
@@ -376,13 +369,11 @@ def integrate_jacobians(model: KinematicModel, q, dq):
 
 def difference_jacobian(model: KinematicModel, q0, q1) -> np.ndarray:
     """Partial of difference(q0, q1) w.r.t. the tangent of q1."""
+    r = difference(model, q0, q1)
     D = np.eye(model.nv)
     for i in model._free_bodies:
-        qs, vs = model.q_slice(i), model.v_slice(i)
-        M0 = Placement(quat_to_rotation(q0[qs][3:]), q0[qs][:3])
-        M1 = Placement(quat_to_rotation(q1[qs][3:]), q1[qs][:3])
-        r = se3_log(M0.inverse().compose(M1))
-        D[vs, vs] = se3_right_jacobian_inverse(r)
+        vs = model.v_slice(i)
+        D[vs, vs] = se3_right_jacobian_inverse(r[vs])
     return D
 
 

@@ -68,7 +68,6 @@ class StepResult:
     solution: ContactSolution | None
     J_c: np.ndarray                 # (3n, nv) contact Jacobian at the input q
     Minv_JcT: np.ndarray            # (nv, 3n) M^-1 J_c^T, built for G; step_jacobian reuses it
-    v_free: np.ndarray              # unconstrained end-of-step velocity
     dyn: DynamicsData               # dynamics at the input state; dyn.kin is its kinematics
 
     def warm_start(self) -> dict:
@@ -135,7 +134,7 @@ def step(model: KinematicModel, state: SimState, tau=None, params: SimParams | N
     if not contacts:
         q_next = integrate(model, state.q, dt * v_free)
         return StepResult(SimState(q_next, v_free), contacts, None, None,
-                          np.zeros((0, model.nv)), np.zeros((model.nv, 0)), v_free, dyn)
+                          np.zeros((0, model.nv)), np.zeros((model.nv, 0)), dyn)
 
     J_c = contact_jacobian(model, dyn, contacts)
     Minv_JcT = dyn.solve(J_c.T)
@@ -157,8 +156,7 @@ def step(model: KinematicModel, state: SimState, tau=None, params: SimParams | N
 
     v_next = v_free + dyn.solve(J_c.T @ solution.lam)
     q_next = integrate(model, state.q, dt * v_next)
-    return StepResult(SimState(q_next, v_next), contacts, problem, solution, J_c, Minv_JcT,
-                      v_free, dyn)
+    return StepResult(SimState(q_next, v_next), contacts, problem, solution, J_c, Minv_JcT, dyn)
 
 
 def _tau_sequence(tau_seq, horizon: int, nv: int) -> np.ndarray:
@@ -246,6 +244,14 @@ def rollout_jacobian(model: KinematicModel, state0: SimState, tau_seq=None, hori
             Jq_new += jac.dq["mu"]
         Jq, Jv = Jq_new, Jv_new
     return results, Jq, Jv
+
+
+def trajectory_header(model: KinematicModel) -> list:
+    """CSV header of trajectory_rows: one name per fixed column, then one
+    entry naming the eight columns that each contact adds."""
+    return ["step", *(f"q{i}" for i in range(model.nq)), *(f"v{i}" for i in range(model.nv)),
+            "residual", "n_contacts",
+            "per-contact: pair_a,pair_b,feature,mode,phi,lam_t1,lam_t2,lam_n"]
 
 
 def trajectory_rows(results):

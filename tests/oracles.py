@@ -69,8 +69,10 @@ def kinetic_energy(model, q, v) -> float:
 def potential_energy(model, q) -> float:
     """-sum_i m_i g . c_i over the world centers of mass c_i = R_i com_i + p_i."""
     kin = compute_kinematics(model, q)
-    com_w = (kin.body_rotations @ model._com[:, :, None])[:, :, 0] + kin.body_translations
-    return -float(model._mass @ (com_w @ model.gravity))
+    mass = np.array([b.mass for b in model.inertias], dtype=float)
+    com = np.array([b.com for b in model.inertias], dtype=float).reshape(model.nb, 3)
+    com_w = (kin.body_rotations @ com[:, :, None])[:, :, 0] + kin.body_translations
+    return -float(mass @ (com_w @ model.gravity))
 
 
 def body_jacobian_world(model, kin, body: int) -> np.ndarray:

@@ -6,12 +6,14 @@ import dataclasses
 import importlib.resources
 import json
 import logging
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from diffcontact.cli import SceneError, bundled_scenes, load_scene, main, scene_from_dict
-from diffcontact.simulator import SimParams
+from diffcontact.simulator import SimParams, step
 
 GRAVITY = 9.81
 
@@ -355,6 +357,19 @@ def test_bad_flags_exit_2_before_running(argv, words, capsys):
     err = capsys.readouterr().err
     assert exc.value.code == 2
     assert "error:" in err and words in err and "Traceback" not in err
+
+
+def test_readme_scene_example_loads():
+    """The JSON example of the README's "Scene files" section is a valid
+    scene: a free box resting on the ground plane, sliding along x."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme[readme.index("## Scene files"):]
+    block = re.search(r"```json\n(.*?)```", section, re.S).group(1)
+    model, state, params = scene_from_dict(json.loads(block))
+    assert (model.nq, model.nv, len(model.geometries)) == (7, 6, 2)
+    assert [(p.geom_a, p.geom_b, p.mu) for p in model.pairs] == [(0, 1, 0.6)]
+    assert state.v[3] == 1.0 and params.dt == 0.001
+    assert len(step(model, state, None, params).contacts) == 4
 
 
 def test_scene_params_are_exactly_sim_params():

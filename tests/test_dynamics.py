@@ -19,11 +19,10 @@ from diffcontact.dynamics import (
     applied_wrench_q_derivative,
     compute_dynamics,
     id_state_derivatives,
-    spatial_inertia_local,
     spatial_inertias_world,
 )
 from diffcontact.model import compute_kinematics, integrate
-from diffcontact.spatial import skew
+from diffcontact.spatial import skew, spatial_inertia_local
 from oracles import body_jacobian_world, inverse_dynamics, kinetic_energy, potential_energy
 
 rng = np.random.default_rng(23)

@@ -19,6 +19,7 @@ from diffcontact.simulator import (
     rollout,
     rollout_jacobian,
     step,
+    trajectory_header,
     trajectory_rows,
 )
 
@@ -179,10 +180,21 @@ def test_trajectory_rows_layout():
     rows = trajectory_rows(results)
     assert len(rows) == 3
     nq, nv = model.nq, model.nv
+    header = trajectory_header(model)
+    fixed, per_contact = header[:-1], header[-1]
+    assert fixed == ["step", *(f"q{i}" for i in range(nq)), *(f"v{i}" for i in range(nv)),
+                     "residual", "n_contacts"]
+    assert per_contact.split(": ")[1].split(",") == [
+        "pair_a", "pair_b", "feature", "mode", "phi", "lam_t1", "lam_t2", "lam_n"]
     for t, row in enumerate(rows, start=1):
         res = results[t - 1]
         n = len(res.contacts)
-        assert len(row) == 1 + nq + nv + 2 + 8 * n
+        assert len(row) == len(fixed) + 8 * n
+        named = dict(zip(fixed, row))
+        assert (named["step"], named["residual"], named["n_contacts"]) == (
+            t, res.solution.residual, n)
+        assert [named[f"q{i}"] for i in range(nq)] == res.state.q.tolist()
+        assert [named[f"v{i}"] for i in range(nv)] == res.state.v.tolist()
         assert row[0] == t
         np.testing.assert_allclose(row[1 : 1 + nq], res.state.q)
         np.testing.assert_allclose(row[1 + nq : 1 + nq + nv], res.state.v)

@@ -1,6 +1,8 @@
 """Guards on the library source: nothing in src/diffcontact/ is kept for
-the tests alone. Test-only reference code belongs in tests/oracles.py."""
+the tests alone, and no module imports a name it does not use. Test-only
+reference code belongs in tests/oracles.py."""
 import ast
+import importlib
 from collections import Counter
 from pathlib import Path
 
@@ -55,3 +57,26 @@ def test_every_library_definition_has_a_user_outside_the_tests():
             if used[name] - _names_used(node)[name] <= 0 and name not in diffcontact.__all__:
                 unused.append(f"{path.name}: {label}")
     assert not unused, f"defined in src/ but named nowhere in src/ or benchmark/: {unused}"
+
+
+def test_every_module_level_import_is_used_in_its_module():
+    """A module-level import in src/ is used in its own module, is named in
+    the module's __all__, or carries `# noqa: F401` and a reason (as the
+    names that only the benchmark tracer patches do)."""
+    unused = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        text = path.read_text()
+        lines, tree = text.splitlines(), ast.parse(text)
+        exported = getattr(importlib.import_module(f"diffcontact.{path.stem}"), "__all__", ())
+        loads = Counter(sub.id for sub in ast.walk(tree) if isinstance(sub, ast.Name))
+        for node in tree.body:
+            if not isinstance(node, (ast.Import, ast.ImportFrom)) or \
+                    isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                _, noqa, reason = lines[alias.lineno - 1].partition("# noqa: F401")
+                if loads[name] or name in exported or noqa and reason.strip():
+                    continue
+                unused.append(f"{path.name}: {name}")
+    assert not unused, f"imported in src/ but not used in the importing module: {unused}"
