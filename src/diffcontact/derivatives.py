@@ -22,7 +22,12 @@ contact-frame variation (collision.frame_derivative of the step's own
 ContactSet along the rows of its body Jacobians, once per pair), and the
 stabilization terms. The contact packs are stacked along a leading contact
 axis around one batched inverse adjoint per step, so the wrench,
-correction and rhs terms are too.
+correction and rhs terms are too. The rhs builds no kinematic derivative
+of its own: d(J_i w)/dq is linear in w, so the jv_q blocks that
+id_state_derivatives returns, dJ(v) v and dJ(a) a with a = (v+ - v)/dt,
+give d(J v+)/dq = dJv + dt dJa and the K_d term's d(J v)/dq = dJv, and the
+contact wrenches ride along with the body wrenches into its one
+applied_wrench_q_derivative product.
 
 Each block's velocity derivative is dv = dvp + M^-1 J_c^T dlambda, with dvp
 the derivative of v+ at frozen impulse. M^-1 is formed once per
@@ -41,7 +46,7 @@ from numpy.linalg import svd
 from . import collision as co
 from .contact import _RANK_RTOL, ContactProblem, ContactSolution, Mode
 from .dynamics import (
-    applied_wrench_q_derivative,
+    applied_wrench_q_derivative,  # noqa: F401  unused; the benchmark tracer patches this name
     compute_dynamics,  # noqa: F401  unused; the benchmark tracer patches this name
     id_state_derivatives,
 )
@@ -49,7 +54,7 @@ from .model import (
     KinematicModel,
     compute_kinematics,  # noqa: F401  unused; the benchmark tracer patches this name
     integrate_jacobians,
-    jv_q_derivatives,
+    jv_q_derivatives,  # noqa: F401  unused; the benchmark tracer patches this name
 )
 from .simulator import _body_rows, _is_pair_index, contact_frame_jacobians
 from .spatial import motion_cross, p_operator
@@ -235,7 +240,6 @@ def _frozen_impulse_rhs(model, state, params, result, smooth):
     and rhs = dG lambda* + dg, the frozen-impulse derivative of the contact
     velocity sigma (3n x nv). The contact packs are built for q only."""
     dyn = result.dyn
-    kin = dyn.kin
     v = state.v
     dt = params.dt
     nv = model.nv
@@ -249,21 +253,25 @@ def _frozen_impulse_rhs(model, state, params, result, smooth):
     if smooth:
         Minv = dyn.solve(np.eye(nv))  # the one solve with M of the Jacobian
     if "q" in smooth or "v" in smooth:
-        dID_q, dID_v = id_state_derivatives(model, dyn, (v_plus - v) / dt)
-    if "q" in smooth:
-        force_q = -dt * dID_q
-        if contacts:
-            # Frozen-impulse generalized-force variation: fixed world wrench
-            # per contact plus the frame-variation corrections. The last row
-            # of wrenches stands for the environment (body -1) and is dropped;
+        wrenches = 0.0
+        if "q" in smooth and contacts:
+            # Frozen-impulse generalized force: a fixed world wrench per
+            # contact, whose q-derivative enters through the ID derivatives'
+            # one applied_wrench_q_derivative product (-dt dID_q below undoes
+            # the -1/dt), plus the frame-variation collision_correction_jtl.
+            # The last row stands for the environment (body -1) and is dropped;
             # each contact adds its wrench to body 1, then subtracts it from body 2.
             lam = result.solution.lam
             phi_w = (np.swapaxes(packs.Xc_inv, -1, -2) @ _frame_wrenches(lam)[:, :, None])[:, :, 0]
-            wrenches = np.zeros((model.nb + 1, 6))
-            np.add.at(wrenches, contacts.bodies.ravel(),
+            w_c = np.zeros((model.nb + 1, 6))
+            np.add.at(w_c, contacts.bodies.ravel(),
                       np.stack([phi_w, -phi_w], axis=1).reshape(-1, 6))
-            JTL = collision_correction_jtl(packs, lam)
-            force_q = force_q + applied_wrench_q_derivative(model, dyn, wrenches[:-1]) + JTL
+            wrenches = -w_c[:-1] / dt
+        dID_q, dID_v, dJv, dJa = id_state_derivatives(model, dyn, (v_plus - v) / dt, wrenches)
+    if "q" in smooth:
+        force_q = -dt * dID_q
+        if contacts:
+            force_q = force_q + collision_correction_jtl(packs, lam)
         dvp["q"] = Minv @ force_q
     if "v" in smooth:
         dvp["v"] = np.eye(nv) - dt * (Minv @ dID_v)
@@ -273,18 +281,20 @@ def _frozen_impulse_rhs(model, state, params, result, smooth):
     rhs = {t: result.J_c @ dvp[t] for t in smooth}
     # Kinematic + frame variation of J_c v+ and the stabilization terms:
     # theta = q only, except the K_d term, which v has too; tau has none.
+    # d(J_i w)/dq is linear in w, so the ID derivatives' blocks give it for
+    # w = v (dJv) and w = v+ = v + dt a (dJv + dt dJa).
     if "q" in smooth and contacts:
-        def contact_rows(dJv, w):
+        def contact_rows(dJw, w):
             """d(J_c w)/dq per contact (n, 3, nv) from d(J_i w)/dq per body."""
-            dJv12 = _body_rows(dJv, contacts.bodies)
-            dJvd = dJv12[:, 0] - dJv12[:, 1]
-            return (packs.Xc_inv @ dJvd)[:, 3:] + collision_correction_jv(packs, w)
+            dJw12 = _body_rows(dJw, contacts.bodies)
+            dJwd = dJw12[:, 0] - dJw12[:, 1]
+            return (packs.Xc_inv @ dJwd)[:, 3:] + collision_correction_jv(packs, w)
 
-        rows = contact_rows(jv_q_derivatives(model, kin, v_plus)[0], v_plus)
+        rows = contact_rows(dJv + dt * dJa, v_plus)
         gain = (1.0 - params.baumgarte_kp * (contacts.phi < 0.0)) / dt
         rows[:, 2] += gain[:, None] * packs.dphi_dq
         if kd != 0.0:
-            rows -= kd * contact_rows(jv_q_derivatives(model, kin, v)[0], v)
+            rows -= kd * contact_rows(dJv, v)
         rhs["q"] += rows.reshape(-1, nv)
     if "v" in smooth and kd != 0.0:
         rhs["v"] -= kd * result.J_c

@@ -112,11 +112,17 @@ def compute_dynamics(model: KinematicModel, kin: Kinematics, v: np.ndarray) -> D
     return DynamicsData(kin, Iw, M, b, cho_factor(M, lower=True), J, V, Vp, Xi)
 
 
-def id_state_derivatives(model: KinematicModel, dyn: DynamicsData, a):
+def id_state_derivatives(model: KinematicModel, dyn: DynamicsData, a, wrenches=0.0):
     """Analytic partials of the inverse dynamics tau = M(q) a + b(q, v)
     w.r.t. the tangent of q and w.r.t. v, at fixed a, at the state
     (dyn.kin, v) that compute_dynamics built dyn for; its inertias and body
     terms are reused.
+
+    Returns (dID_q, dID_v, dJv, dJa), the last two the (nb, 6, nv) partials
+    d(J_i v)/dq and d(J_i a)/dq that the q partial is built from (see
+    jv_q_derivatives). `wrenches` are extra constant world wrenches (nb, 6)
+    added to the body wrenches before the one applied_wrench_q_derivative
+    product, so dID_q also carries d(sum_b J_b^T wrenches_b)/dq.
 
     Every body term is built from the world axes psi; perturbing tangent
     column k transports psi_j, the body velocity twists and the world
@@ -150,10 +156,10 @@ def id_state_derivatives(model: KinematicModel, dyn: DynamicsData, a):
 
     K = Fv @ Iw - p_operator(h)  # variation of V x* (I V) along dV
     df = (dI(ahat) + Fv @ dI(V)) @ J + Iw @ (dJa + dXi) + K @ dJv
-    f = _body_wrenches(Iw, V, ahat)
+    f = _body_wrenches(Iw, V, ahat) + wrenches
     Jt = _rows(J).T
     dID_q = Jt @ _rows(df) + applied_wrench_q_derivative(model, dyn, f)
-    return dID_q, Jt @ _rows(Iw @ Xi_v + K @ J)
+    return dID_q, Jt @ _rows(Iw @ Xi_v + K @ J), dJv, dJa
 
 
 def applied_wrench_q_derivative(model: KinematicModel, dyn: DynamicsData, wrenches) -> np.ndarray:

@@ -79,24 +79,35 @@ def spatial_inertia_local(mass: float, com: np.ndarray, inertia: np.ndarray) -> 
     return I
 
 
+def _operator_basis(blocks) -> np.ndarray:
+    """(6, 36) map from a six-vector x to the flattened 6x6 operator whose
+    3x3 block (r, c) is skew of half h of x, for each ((r, c), h) in blocks."""
+    basis = np.zeros((2, 3, 2, 3, 2, 3))  # (half, component, r, row, c, col)
+    for (r, c), h in blocks:
+        basis[h, :, r, :, c, :] = _SKEW_BASIS.reshape(3, 3, 3)
+    return basis.reshape(6, 36)
+
+
+# motion_cross(x).ravel() == x @ _AD_BASIS and p_operator(y).ravel() == y @
+# _P_BASIS. As with _SKEW_BASIS, every entry is +-1 times one component or
+# 0, so each operator is one exact product that stacks over leading axes.
+_AD_BASIS = _operator_basis([((0, 0), 0), ((1, 1), 0), ((1, 0), 1)])
+_P_BASIS = _operator_basis([((0, 0), 0), ((0, 1), 1), ((1, 0), 1)])
+
+
 def motion_cross(x: np.ndarray) -> np.ndarray:
-    """ad_x for a motion x = (omega, v): motion-cross-motion operator.
-    Stacked for x of shape (..., 6)."""
+    """ad_x for a motion x = (omega, v): motion-cross-motion operator
+    [[skew(omega), 0], [skew(v), skew(omega)]]. Stacked for x of shape (..., 6)."""
     x = np.asarray(x, dtype=float)
-    out = np.zeros(x.shape[:-1] + (6, 6))
-    out[..., :3, :3] = out[..., 3:, 3:] = skew(x[..., :3])
-    out[..., 3:, :3] = skew(x[..., 3:])
-    return out
+    return (x @ _AD_BASIS).reshape(x.shape[:-1] + (6, 6))
 
 
 def p_operator(y: np.ndarray) -> np.ndarray:
-    """P_y with ad_x^T y == P_y x for every motion x; y = (torque, force).
-    Stacked like motion_cross, so P_y @ A == -force_cross_cols(A, y)."""
+    """P_y = [[skew(torque), skew(force)], [skew(force), 0]], with ad_x^T y ==
+    P_y x for every motion x; y = (torque, force). Stacked like motion_cross,
+    so P_y @ A == -force_cross_cols(A, y)."""
     y = np.asarray(y, dtype=float)
-    out = np.zeros(y.shape[:-1] + (6, 6))
-    out[..., :3, :3] = skew(y[..., :3])
-    out[..., :3, 3:] = out[..., 3:, :3] = skew(y[..., 3:])
-    return out
+    return (y @ _P_BASIS).reshape(y.shape[:-1] + (6, 6))
 
 
 def _cross(a, b):

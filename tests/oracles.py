@@ -1,7 +1,8 @@
 """Reference functions that only the tests use: the friction-cone
 projections and the De Saxce correction written out on numpy vectors, the
-force cross operator, inverse dynamics and the energies, body Jacobians and
-placements, point maps, and the frozen-impulse contact-velocity derivative.
+force cross operator, the ad and P operators assembled block by block,
+inverse dynamics and the energies, body Jacobians and placements, point
+maps, and the frozen-impulse contact-velocity derivative.
 
 cone_project wraps the solver's own scalar projection, so the tests of the
 projection check the code the PGS sweep runs. The dynamics oracles are
@@ -20,7 +21,7 @@ from diffcontact.dynamics import (
     spatial_inertias_world,
 )
 from diffcontact.model import compute_kinematics
-from diffcontact.spatial import Placement, motion_cross
+from diffcontact.spatial import Placement, motion_cross, skew
 
 
 def cone_project(lam: np.ndarray, mu: float) -> np.ndarray:
@@ -50,6 +51,26 @@ def force_cross(x: np.ndarray) -> np.ndarray:
     """x x* operator (motion-cross-force): equals -ad_x^T. Stacked like
     motion_cross."""
     return -np.swapaxes(motion_cross(x), -1, -2)
+
+
+def motion_cross_blocks(x: np.ndarray) -> np.ndarray:
+    """ad_x written into zeros as its three skew blocks, stacked over the
+    leading axes of x (..., 6)."""
+    x = np.asarray(x, dtype=float)
+    out = np.zeros(x.shape[:-1] + (6, 6))
+    out[..., :3, :3] = out[..., 3:, 3:] = skew(x[..., :3])
+    out[..., 3:, :3] = skew(x[..., 3:])
+    return out
+
+
+def p_operator_blocks(y: np.ndarray) -> np.ndarray:
+    """P_y written into zeros as its three skew blocks, stacked like
+    motion_cross_blocks."""
+    y = np.asarray(y, dtype=float)
+    out = np.zeros(y.shape[:-1] + (6, 6))
+    out[..., :3, :3] = skew(y[..., :3])
+    out[..., :3, 3:] = out[..., 3:, :3] = skew(y[..., 3:])
+    return out
 
 
 def inverse_dynamics(model, q, v, a) -> np.ndarray:

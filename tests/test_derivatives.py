@@ -15,6 +15,7 @@ from conftest import (
     translation,
 )
 from diffcontact import collision, derivatives, dynamics
+from diffcontact import model as model_module
 from diffcontact.cli import load_scene
 from diffcontact.collision import Halfspace, Sphere
 from diffcontact.contact import ContactProblem, ContactSolution, Mode, solve_ncp
@@ -230,6 +231,35 @@ def test_step_jacobian_reuses_step_mass_matrix_solves(monkeypatch, scene):
     calls.clear()
     step_jacobian(model, state, None, params, res, theta="mu")
     assert calls == []
+
+
+def test_step_jacobian_reuses_id_derivative_blocks(monkeypatch):
+    """On a chain12 contact step with K_d on, theta="all" builds d(J_i w)/dq
+    twice, for the ID derivatives' w = v and w = a, and the rhs reuses both;
+    the body and contact wrenches share one applied-wrench product."""
+    model, state, params = load_scene("chain12")
+    params = dataclasses.replace(params, baumgarte_kd=0.05)
+    res = step(model, state, None, params)
+    assert res.contacts
+    calls = {"_jv_q": 0, "applied_wrench_q_derivative": 0}
+
+    def count(module, name):
+        fn = getattr(module, name)
+
+        def counting(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counting)
+
+    # Every site that calls either one: id_state_derivatives (dynamics),
+    # jv_q_derivatives (model) and the rhs (derivatives).
+    count(dynamics, "_jv_q")
+    count(model_module, "_jv_q")
+    count(dynamics, "applied_wrench_q_derivative")
+    count(derivatives, "applied_wrench_q_derivative")
+    step_jacobian(model, state, None, params, res, theta="all")
+    assert calls == {"_jv_q": 2, "applied_wrench_q_derivative": 1}
 
 
 def test_step_jacobian_reuses_step_dynamics(monkeypatch):
@@ -677,13 +707,9 @@ def _sigma_frozen(model, q, v, tau, params, lam, order):
     return G @ lam + g
 
 
-@pytest.mark.parametrize("theta", ["q", "v", "tau"])
-@pytest.mark.parametrize("gains", [(0.0, 0.0), (0.1, 0.05)])
-def test_rhs_contact_velocity_matches_fd(theta, gains):
-    model = sphere_model(mu=0.7)
-    state = sphere_state(z=0.1 - 5e-4, v=[0.0, 0.3, 0.0, 0.9, 0.1, 0.0])
-    tau = np.array([0.01, -0.02, 0.0, 0.1, 0.0, 0.05])
-    params = tight_params(ncp_tol=3e-15, baumgarte_kp=gains[0], baumgarte_kd=gains[1])
+def _rhs_fd_error(model, state, tau, params, theta):
+    """Worst error of rhs_contact_velocity against central FD of sigma at the
+    step's frozen impulse, relative to max(1, |FD|)."""
     res = step(model, state, tau, params)
     assert res.contacts
     order = [(f.pair, f.feature) for f in res.contacts]
@@ -707,7 +733,31 @@ def test_rhs_contact_velocity_matches_fd(theta, gains):
         sp = _sigma_frozen(model, *args_p, params, lam, order)
         sm = _sigma_frozen(model, *args_m, params, lam, order)
         fd[:, k] = (sp - sm) / (2 * eps)
-    err = np.abs(rhs - fd).max() / max(1.0, np.abs(fd).max())
+    return np.abs(rhs - fd).max() / max(1.0, np.abs(fd).max())
+
+
+@pytest.mark.parametrize("theta", ["q", "v", "tau"])
+@pytest.mark.parametrize("gains", [(0.0, 0.0), (0.1, 0.05)])
+def test_rhs_contact_velocity_matches_fd(theta, gains):
+    model = sphere_model(mu=0.7)
+    state = sphere_state(z=0.1 - 5e-4, v=[0.0, 0.3, 0.0, 0.9, 0.1, 0.0])
+    tau = np.array([0.01, -0.02, 0.0, 0.1, 0.0, 0.05])
+    params = tight_params(ncp_tol=3e-15, baumgarte_kp=gains[0], baumgarte_kd=gains[1])
+    err = _rhs_fd_error(model, state, tau, params, theta)
+    assert err < 5e-6, err
+
+
+@pytest.mark.parametrize("theta", ["q", "v"])
+def test_rhs_contact_velocity_matches_fd_on_chain_with_kd(theta):
+    """The rhs takes d(J v+)/dq and the K_d term's d(J v)/dq from the ID
+    derivatives' jv_q blocks; on a 12-link chain with four feet the paths
+    run up to twelve joints deep."""
+    model = chain_model(12, foot_links=[2, 5, 8, 11])
+    gen = np.random.default_rng(21)
+    state = SimState(model.neutral_configuration(), gen.uniform(-0.5, 0.5, model.nv))
+    tau = gen.uniform(-1.0, 1.0, model.nv)
+    params = tight_params(ncp_tol=3e-15, baumgarte_kp=0.1, baumgarte_kd=0.05)
+    err = _rhs_fd_error(model, state, tau, params, theta)
     assert err < 5e-6, err
 
 

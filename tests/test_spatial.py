@@ -27,7 +27,13 @@ from diffcontact.spatial import (
     so3_log,
     unskew,
 )
-from oracles import act, force_cross, orthonormality_error
+from oracles import (
+    act,
+    force_cross,
+    motion_cross_blocks,
+    orthonormality_error,
+    p_operator_blocks,
+)
 
 rng = np.random.default_rng(7)
 
@@ -218,6 +224,19 @@ def test_p_operator_stacks_bit_for_bit():
     for i in range(2):
         for j in range(5):
             np.testing.assert_array_equal(stacked[i, j], p_operator(Y[i, j]))
+
+
+def test_operators_equal_their_block_assembly_bit_for_bit():
+    """motion_cross and p_operator, each one product with a constant basis,
+    equal the zeros-plus-skew-blocks assembly exactly, on a single six-vector
+    and on (k, 6) and (k, m, 6) stacks, zero and negative components included."""
+    gen = np.random.default_rng(21)
+    for shape in ((6,), (48, 6), (4, 7, 6)):
+        x = gen.normal(size=shape) * gen.choice([0.0, 1.0, 1e-300, 1e300], size=shape)
+        for op, blocks in ((motion_cross, motion_cross_blocks), (p_operator, p_operator_blocks)):
+            got, want = op(x), blocks(x)
+            assert got.shape == want.shape == shape[:-1] + (6, 6)
+            assert np.array_equal(got, want), (op.__name__, shape)
 
 
 def test_cross_cols_are_stacked_operator_products():
