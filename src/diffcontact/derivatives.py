@@ -19,9 +19,10 @@ The right-hand side rhs = dG lambda + dg is the derivative of the contact
 velocity at frozen impulse; it collects the smooth-dynamics partials, the
 kinematic variation of the contact Jacobian at a fixed frame, the
 contact-frame variation (collision.frame_derivative of the step's own
-ContactSet along the rows of its body Jacobians, once per pair), and the
-stabilization terms. The contact packs are stacked along a leading contact
-axis around one batched inverse adjoint per step, so the wrench,
+ContactSet along the rows of its body Jacobians, once per (shape, shape)
+kind), and the stabilization terms. The contact packs are stacked along a
+leading contact axis around the inverse adjoints and frame Jacobians that
+simulator.step built for J_c (StepResult.Xc_inv and Jc6), so the wrench,
 correction and rhs terms are too. The rhs builds no kinematic derivative
 of its own: d(J_i w)/dq is linear in w, so the jv_q blocks that
 id_state_derivatives returns, dJ(v) v and dJ(a) a with a = (v+ - v)/dt,
@@ -56,8 +57,8 @@ from .model import (
     integrate_jacobians,
     jv_q_derivatives,  # noqa: F401  unused; the benchmark tracer patches this name
 )
-from .simulator import _body_rows, _is_pair_index, contact_frame_jacobians
-from .spatial import motion_cross, p_operator
+from .simulator import _body_rows, _is_pair_index
+from .spatial import Placement, motion_cross, p_operator
 
 
 class SingularSlidingMode(ValueError):
@@ -156,20 +157,28 @@ class _ContactDiff:
     dphi_dq: np.ndarray   # (n, nv)
 
 
-def _contact_packs(model, dyn, contacts):
-    """The packs of the step's ContactSet, differentiated along the rows of
-    the step's body Jacobians dyn.J with one frame_derivative call per
-    contact pair; no narrow phase runs again."""
-    Xc_inv, Jc6 = contact_frame_jacobians(dyn, contacts)
-    cuts = (np.flatnonzero((contacts.pair[1:] != contacts.pair[:-1]).any(axis=1)) + 1).tolist()
-    first, ends = [0, *cuts], [*cuts, len(contacts)]
-    geoms, places = model.geometries, dyn.kin.geom_placements
-    T12 = _body_rows(dyn.J, contacts.bodies[first])
-    dM, dphi = zip(*(co.frame_derivative(geoms[a].shape, geoms[b].shape, places[a], places[b],
-                                         contacts[s:e], t1, t2)
-                     for (a, b), s, e, (t1, t2) in zip(contacts.pair[first].tolist(), first, ends,
-                                                       T12)))
-    return _ContactDiff(Xc_inv=Xc_inv, Jc6=Jc6, dM=np.concatenate(dM), dphi_dq=np.concatenate(dphi))
+def _contact_packs(model, result):
+    """The packs of the step's ContactSet: the frame Jacobians the step built
+    for J_c, and the frames' derivatives along the rows of the step's body
+    Jacobians, one frame_derivative call per (shape, shape) kind over its
+    contacts; no narrow phase runs again."""
+    dyn, contacts = result.dyn, result.contacts
+    n, nv = len(contacts), model.nv
+    T12 = _body_rows(dyn.J, contacts.bodies)
+    R, p = dyn.kin.geom_rotations, dyn.kin.geom_translations
+    pairs = model._pair_index[contacts.pair[:, 0], contacts.pair[:, 1]]
+    kind_of, slot = model._pair_kind[pairs], model._pair_slot[pairs]
+    dM, dphi = np.empty((n, 6, nv)), np.empty((n, nv))
+    for k, kind in enumerate(model.pair_kinds):
+        at = np.flatnonzero(kind_of == k) if len(model.pair_kinds) > 1 else slice(None)
+        a, b, s = contacts.pair[at, 0], contacts.pair[at, 1], slot[at]
+        if not len(s):
+            continue
+        dM[at], dphi[at] = co.frame_derivative(
+            co.take_shapes(kind.shape1, s), co.take_shapes(kind.shape2, s),
+            Placement(R[a], p[a]), Placement(R[b], p[b]), contacts[at],
+            T12[at, 0], T12[at, 1])
+    return _ContactDiff(Xc_inv=result.Xc_inv, Jc6=result.Jc6, dM=dM, dphi_dq=dphi)
 
 
 def _frame_wrenches(lam: np.ndarray) -> np.ndarray:
@@ -247,7 +256,7 @@ def _frozen_impulse_rhs(model, state, params, result, smooth):
     v_plus = result.state.v
     contacts = result.contacts
     if "q" in smooth and contacts:
-        packs = _contact_packs(model, dyn, contacts)
+        packs = _contact_packs(model, result)
 
     dvp = {}
     if smooth:

@@ -22,6 +22,11 @@ ceil(log2 depth) rounds of T[dst] = T[src] T[dst] (a 48-joint chain takes
 slices, so those reads and writes are views. integrate adds the revolute
 and prismatic coordinates with one indexed add; only free joints take the
 SE(3) exponential, one by one.
+
+The model also stacks every geometry placement, which compute_kinematics
+moves with the bodies as stacked arrays, and groups the declared collision
+pairs by (shape, shape) kind (collision.pair_kinds), so that the contact
+layer runs once per kind.
 """
 from __future__ import annotations
 
@@ -29,6 +34,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .collision import pair_kinds
 from .spatial import (
     Placement,
     adjoint,
@@ -157,6 +163,7 @@ class KinematicModel:
             [spatial_inertia_local(b.mass, b.com, b.inertia) for b in self.inertias]
         ).reshape(self.nb, 6, 6)
         self._stack_joints()
+        self._group_pairs()
 
         if actuated is None:
             actuated = list(range(self.nv))
@@ -168,7 +175,7 @@ class KinematicModel:
         """Stacked joint data for compute_kinematics and integrate, built once:
         mounting placements, per-kind body and q indices, axes, the local
         motion subspace of every tangent column, the jump schedule and the
-        body-attached geometry placements."""
+        geometry placements."""
         self._mount_rot, self._mount_trans = _stack_placements(j.placement for j in self.joints)
 
         def of_kind(kind):
@@ -210,10 +217,32 @@ class KinematicModel:
             self._jumps.append((_index(dst), _index(jump[dst])))
             jump[dst] = jump[jump[dst]]
 
-        self._geom_att = [k for k, g in enumerate(self.geometries) if g.body >= 0]
-        attached = [self.geometries[k] for k in self._geom_att]
-        self._geom_body = _index([g.body for g in attached])
-        self._geom_rot, self._geom_trans = _stack_placements(g.placement for g in attached)
+        # Every geometry's placement: world for a static one, body-frame for
+        # an attached one, which compute_kinematics moves with its body.
+        att = [k for k, g in enumerate(self.geometries) if g.body >= 0]
+        self._geom_att = _index(att) if att else None
+        self._geom_body = _index([self.geometries[k].body for k in att])
+        self._geom_rot, self._geom_trans = _stack_placements(g.placement for g in self.geometries)
+
+    def _group_pairs(self):
+        """The declared pairs grouped by (shape, shape) kind (collision.pair_kinds,
+        which rejects a pair the narrow phase cannot handle), and the lookups
+        from a contact's geometry pair to its declared pair, kind and slot in
+        the kind. The kinds interleave when concatenating them does not give
+        the declared order; only then must detect_contacts reorder."""
+        self.pair_kinds = pair_kinds(self.geometries, self.pairs)
+        # Each kind's geometries of side 1 and side 2, as slices when consecutive.
+        self._kind_geoms = [(_index(k.ids[:, 0]), _index(k.ids[:, 1])) for k in self.pair_kinds]
+        ng, npairs = len(self.geometries), len(self.pairs)
+        self._pair_index = np.full((ng, ng), -1)
+        for i, p in enumerate(self.pairs):
+            self._pair_index[p.geom_a, p.geom_b] = i
+        self._pair_kind, self._pair_slot = np.zeros(npairs, int), np.zeros(npairs, int)
+        for i, kind in enumerate(self.pair_kinds):
+            self._pair_kind[kind.pairs] = i
+            self._pair_slot[kind.pairs] = np.arange(len(kind.pairs))
+        order = [i for kind in self.pair_kinds for i in kind.pairs.tolist()]
+        self._kinds_interleave = order != list(range(npairs))
 
     def _validate_structure(self):
         if len(self.inertias) != self.nb:
@@ -273,7 +302,8 @@ class Kinematics:
     body_rotations: np.ndarray     # (nb, 3, 3)
     body_translations: np.ndarray  # (nb, 3)
     psi: np.ndarray                # (6, nv) world motion-subspace columns
-    geom_placements: list
+    geom_rotations: np.ndarray     # (ng, 3, 3) world geometry placements
+    geom_translations: np.ndarray  # (ng, 3)
 
 
 def compute_kinematics(model: KinematicModel, q: np.ndarray) -> Kinematics:
@@ -310,14 +340,12 @@ def compute_kinematics(model: KinematicModel, q: np.ndarray) -> Kinematics:
     X = adjoint(Placement(R, p))
     psi = np.ascontiguousarray((X[model._col_body] @ model._subspace)[:, :, 0].T)
 
-    geom_placements = [g.placement for g in model.geometries]
-    if model._geom_att:
-        Rb = R[model._geom_body]
-        Rg = Rb @ model._geom_rot
-        pg = (Rb @ model._geom_trans[:, :, None])[:, :, 0] + p[model._geom_body]
-        for k, Rk, pk in zip(model._geom_att, Rg, pg):
-            geom_placements[k] = Placement(Rk, pk)
-    return Kinematics(R, p, psi, geom_placements)
+    Rg, pg = model._geom_rot.copy(), model._geom_trans.copy()
+    if model._geom_att is not None:
+        att, Rb = model._geom_att, R[model._geom_body]
+        Rg[att] = Rb @ model._geom_rot[att]
+        pg[att] = (Rb @ model._geom_trans[att, :, None])[:, :, 0] + p[model._geom_body]
+    return Kinematics(R, p, psi, Rg, pg)
 
 
 def integrate(model: KinematicModel, q: np.ndarray, dq: np.ndarray) -> np.ndarray:

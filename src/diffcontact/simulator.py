@@ -67,6 +67,8 @@ class StepResult:
     problem: ContactProblem | None
     solution: ContactSolution | None
     J_c: np.ndarray                 # (3n, nv) contact Jacobian at the input q
+    Xc_inv: np.ndarray              # (n, 6, 6) inverse adjoints of the contact frames
+    Jc6: np.ndarray                 # (n, 6, nv) frame twist Jacobians; J_c is their [:, 3:] rows
     Minv_JcT: np.ndarray            # (nv, 3n) M^-1 J_c^T, built for G; step_jacobian reuses it
     dyn: DynamicsData               # dynamics at the input state; dyn.kin is its kinematics
 
@@ -84,16 +86,22 @@ def _keyed_impulses(keyed: dict, contacts) -> np.ndarray:
 
 
 def detect_contacts(model: KinematicModel, kin, margin: float) -> ContactSet:
-    """Narrow phase over the declared pairs, each set labelled with its pair,
-    bodies and friction, stacked into one ContactSet in pair order."""
-    geoms, places = model.geometries, kin.geom_placements
-    found = [narrow_phase(geoms[a].shape, geoms[b].shape, places[a], places[b], margin,
-                          (a, b, geoms[a].body, geoms[b].body), p.mu)
-             for p in model.pairs for a, b in [(p.geom_a, p.geom_b)]]
+    """Narrow phase over the declared pairs, one call per (shape, shape) kind
+    on the stacked geometry placements, each contact labelled with its pair,
+    bodies and friction. The kinds' sets are stacked into one ContactSet in
+    pair-major order; it is reordered only when kinds interleave in the
+    declared pair list."""
+    R, p = kin.geom_rotations, kin.geom_translations
+    found = [narrow_phase(k.shape1, k.shape2, Placement(R[a], p[a]), Placement(R[b], p[b]),
+                          margin, k.ids, k.mu)
+             for k, (a, b) in zip(model.pair_kinds, model._kind_geoms)]
     found = [cs for cs in found if len(cs)]
     if len(found) < 2:
         return found[0] if found else NO_CONTACTS
-    return ContactSet(*(np.concatenate(f) for f in zip(*(vars(cs).values() for cs in found))))
+    cs = ContactSet(*(np.concatenate(f) for f in zip(*(vars(cs).values() for cs in found))))
+    if model._kinds_interleave:
+        cs = cs[np.argsort(model._pair_index[cs.pair[:, 0], cs.pair[:, 1]], kind="stable")]
+    return cs
 
 
 def _body_rows(A: np.ndarray, bodies: np.ndarray) -> np.ndarray:
@@ -103,20 +111,16 @@ def _body_rows(A: np.ndarray, bodies: np.ndarray) -> np.ndarray:
     return rows
 
 
-def contact_frame_jacobians(dyn: DynamicsData, contacts):
-    """Stacked inverse adjoints (n, 6, 6) of the contact frames and the
-    relative twist Jacobians (n, 6, nv) of body 1 against body 2 in those
-    frames, read off the body Jacobians of dyn."""
+def contact_jacobian(model: KinematicModel, dyn: DynamicsData, contacts):
+    """(Xc_inv, Jc6, J_c): the stacked inverse adjoints (n, 6, 6) of the
+    contact frames, the relative twist Jacobians (n, 6, nv) of body 1
+    against body 2 in those frames, read off the body Jacobians of dyn, and
+    their linear rows J_c (3n, nv), the map from joint velocities to
+    contact-frame linear relative velocities."""
     Xc_inv = adjoint_inverse(Placement(contacts.rotation, contacts.point))
     J12 = _body_rows(dyn.J, contacts.bodies)
-    return Xc_inv, Xc_inv @ (J12[:, 0] - J12[:, 1])
-
-
-def contact_jacobian(model: KinematicModel, dyn: DynamicsData, contacts) -> np.ndarray:
-    """Stacked (3n, nv) map from joint velocities to contact-frame linear
-    relative velocities (body 1 relative to body 2), from the body
-    Jacobians of dyn."""
-    return contact_frame_jacobians(dyn, contacts)[1][:, 3:].reshape(-1, model.nv)
+    Jc6 = Xc_inv @ (J12[:, 0] - J12[:, 1])
+    return Xc_inv, Jc6, Jc6[:, 3:].reshape(-1, model.nv)
 
 
 def step(model: KinematicModel, state: SimState, tau=None, params: SimParams | None = None,
@@ -134,9 +138,10 @@ def step(model: KinematicModel, state: SimState, tau=None, params: SimParams | N
     if not contacts:
         q_next = integrate(model, state.q, dt * v_free)
         return StepResult(SimState(q_next, v_free), contacts, None, None,
-                          np.zeros((0, model.nv)), np.zeros((model.nv, 0)), dyn)
+                          np.zeros((0, model.nv)), np.zeros((0, 6, 6)), np.zeros((0, 6, model.nv)),
+                          np.zeros((model.nv, 0)), dyn)
 
-    J_c = contact_jacobian(model, dyn, contacts)
+    Xc_inv, Jc6, J_c = contact_jacobian(model, dyn, contacts)
     Minv_JcT = dyn.solve(J_c.T)
     G = J_c @ Minv_JcT
     G = 0.5 * (G + G.T)
@@ -156,7 +161,8 @@ def step(model: KinematicModel, state: SimState, tau=None, params: SimParams | N
 
     v_next = v_free + dyn.solve(J_c.T @ solution.lam)
     q_next = integrate(model, state.q, dt * v_next)
-    return StepResult(SimState(q_next, v_next), contacts, problem, solution, J_c, Minv_JcT, dyn)
+    return StepResult(SimState(q_next, v_next), contacts, problem, solution, J_c, Xc_inv, Jc6,
+                      Minv_JcT, dyn)
 
 
 def _tau_sequence(tau_seq, horizon: int, nv: int) -> np.ndarray:

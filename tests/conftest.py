@@ -23,7 +23,7 @@ from diffcontact.model import (
     KinematicModel,
 )
 from diffcontact.simulator import SimParams, SimState
-from diffcontact.spatial import Placement, so3_exp
+from diffcontact.spatial import Placement, rotation_to_quat, so3_exp
 
 
 def free_placement():
@@ -73,6 +73,43 @@ def chain_model(n_links=3, mu=0.8, foot_links=None, base_height=0.09998):
                           Placement.identity()))
     pairs = [FrictionPair(k, len(geoms) - 1, mu) for k in range(len(foot_links))]
     return KinematicModel(joints, inertias, geoms, pairs)
+
+
+def mixed_kind_model():
+    """Five free bodies over a ground halfspace (geometry 5), whose declared
+    pairs interleave the three kinds: sphere 0 on the ground, box 1 on the
+    ground, sphere 3 on sphere 2, sphere 4 on the ground, sphere 2 on the
+    ground. The spheres' radii differ, so a contact differentiated with
+    another pair's shape shows. mixed_kind_state keeps sphere 4 far above
+    the ground."""
+    ball = BodyInertia(1.0, np.zeros(3), np.diag([0.004] * 3))
+    box = BodyInertia(1.0, np.zeros(3), np.diag([1.0 / 150.0] * 3))
+    joints = [JointSpec("free", -1, Placement.identity(), None) for _ in range(5)]
+    geoms = [Geometry(0, Sphere(0.1)), Geometry(1, Box(np.array([0.1, 0.1, 0.1]))),
+             Geometry(2, Sphere(0.11)), Geometry(3, Sphere(0.12)), Geometry(4, Sphere(0.09)),
+             Geometry(-1, Halfspace(np.array([0.0, 0.0, 1.0]), 0.0))]
+    pairs = [FrictionPair(0, 5, 0.5), FrictionPair(1, 5, 0.6), FrictionPair(3, 2, 0.3),
+             FrictionPair(4, 5, 0.4), FrictionPair(2, 5, 0.7)]
+    return KinematicModel(joints, [ball, box, ball, ball, ball], geoms, pairs)
+
+
+def mixed_kind_state(model, gen):
+    """A random state of mixed_kind_model: spheres 0 and 2 and the box
+    within 5e-5 of the ground (the box tilted by up to 0.02 rad), sphere 3
+    resting on sphere 2 along a near-vertical direction, sphere 4 half a
+    metre up, and random velocities."""
+    q = model.neutral_configuration()
+    sink = gen.uniform(-5e-5, 0.0, 3)
+    q[0:3] = [0.0, 0.0, 0.1 + sink[0]]
+    tilt = so3_exp(gen.uniform(-0.02, 0.02, 3))
+    corners = np.array([[sx, sy, sz] for sx in (-1, 1) for sy in (-1, 1) for sz in (-1, 1)])
+    q[7:10] = [1.0, 0.0, sink[1] - (0.1 * corners @ tilt.T)[:, 2].min()]
+    q[10:14] = rotation_to_quat(tilt)
+    q[14:17] = [2.0, 0.0, 0.11 + sink[2]]
+    up = np.append(gen.uniform(-0.3, 0.3, 2), 1.0)
+    q[21:24] = q[14:17] + (0.23 - gen.uniform(0.0, 5e-5)) * up / np.linalg.norm(up)
+    q[28:31] = [3.0, 0.0, 0.5]
+    return SimState(q, gen.uniform(-0.05, 0.05, model.nv))
 
 
 def fixed_chain_no_contact(n_links=2):

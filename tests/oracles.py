@@ -2,7 +2,8 @@
 projections and the De Saxce correction written out on numpy vectors, the
 force cross operator, the ad and P operators assembled block by block,
 inverse dynamics and the energies, body Jacobians and placements, point
-maps, and the frozen-impulse contact-velocity derivative.
+maps, the frozen-impulse contact-velocity derivative, and the contact
+layer run one declared pair at a time.
 
 cone_project wraps the solver's own scalar projection, so the tests of the
 projection check the code the PGS sweep runs. The dynamics oracles are
@@ -10,8 +11,9 @@ built from the same stacked body terms as compute_dynamics.
 """
 import numpy as np
 
+from diffcontact.collision import NO_CONTACTS, ContactSet, frame_derivative, narrow_phase
 from diffcontact.contact import _project
-from diffcontact.derivatives import _THETAS, _frozen_impulse_rhs
+from diffcontact.derivatives import _THETAS, _ContactDiff, _frozen_impulse_rhs
 from diffcontact.dynamics import (
     _body_terms,
     _body_wrenches,
@@ -21,7 +23,8 @@ from diffcontact.dynamics import (
     spatial_inertias_world,
 )
 from diffcontact.model import compute_kinematics
-from diffcontact.spatial import Placement, motion_cross, skew
+from diffcontact.simulator import _body_rows
+from diffcontact.spatial import Placement, adjoint_inverse, motion_cross, skew
 
 
 def cone_project(lam: np.ndarray, mu: float) -> np.ndarray:
@@ -124,3 +127,35 @@ def rhs_contact_velocity(model, state, tau, params, result, theta="q") -> np.nda
     if theta not in _THETAS:
         raise ValueError("theta must be one of 'q', 'v', 'tau'")
     return _frozen_impulse_rhs(model, state, params, result, [theta])[1][theta]
+
+
+def detect_contacts_per_pair(model, kin, margin: float) -> ContactSet:
+    """simulator.detect_contacts with one narrow_phase call per declared
+    pair, each a kind of one, concatenated in pair order: the reference for
+    the contacts and the order of the call batched by kind."""
+    geoms, R, p = model.geometries, kin.geom_rotations, kin.geom_translations
+    found = [narrow_phase(geoms[a].shape, geoms[b].shape, Placement(R[a], p[a]),
+                          Placement(R[b], p[b]), margin, (a, b, geoms[a].body, geoms[b].body),
+                          pr.mu)
+             for pr in model.pairs for a, b in [(pr.geom_a, pr.geom_b)]]
+    found = [cs for cs in found if len(cs)]
+    if len(found) < 2:
+        return found[0] if found else NO_CONTACTS
+    return ContactSet(*(np.concatenate(f) for f in zip(*(vars(cs).values() for cs in found))))
+
+
+def contact_packs_per_pair(model, dyn, contacts) -> _ContactDiff:
+    """derivatives._contact_packs with the frame Jacobians rebuilt from dyn
+    and one frame_derivative call per contact pair, on that pair's single
+    shapes, placements and body twists: the reference for the packs built
+    by kind from the step's frame Jacobians."""
+    Xc_inv = adjoint_inverse(Placement(contacts.rotation, contacts.point))
+    J12 = _body_rows(dyn.J, contacts.bodies)
+    cuts = (np.flatnonzero((contacts.pair[1:] != contacts.pair[:-1]).any(axis=1)) + 1).tolist()
+    first, ends = [0, *cuts], [*cuts, len(contacts)]
+    geoms, R, p = model.geometries, dyn.kin.geom_rotations, dyn.kin.geom_translations
+    dM, dphi = zip(*(frame_derivative(geoms[a].shape, geoms[b].shape, Placement(R[a], p[a]),
+                                      Placement(R[b], p[b]), contacts[s:e], *J12[s])
+                     for (a, b), s, e in zip(contacts.pair[first].tolist(), first, ends)))
+    return _ContactDiff(Xc_inv=Xc_inv, Jc6=Xc_inv @ (J12[:, 0] - J12[:, 1]),
+                        dM=np.concatenate(dM), dphi_dq=np.concatenate(dphi))

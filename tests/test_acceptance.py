@@ -330,7 +330,7 @@ def test_criterion_4_collision_correction_adjointness():
     state = SimState(q, np.zeros(6))
     params = tight_params()
     res = step(model, state, None, params)
-    packs = _contact_packs(model, res.dyn, res.contacts)
+    packs = _contact_packs(model, res)
     n = len(res.contacts)
     assert n
     gen = np.random.default_rng(77)

@@ -79,7 +79,7 @@ def bent_chain(qc, phi=-2e-5):
     distance phi in the bent configuration qc."""
     probe = chain_model(3)
     kin = compute_kinematics(probe, np.asarray(qc, dtype=float))
-    foot_z = kin.geom_placements[0].translation[2]
+    foot_z = kin.geom_translations[0, 2]
     return chain_model(3, base_height=0.09998 + (0.1 + phi - foot_z))
 
 
@@ -357,6 +357,24 @@ def test_cube_slide_jacobian_runs_one_frame_derivative_and_one_sliding_basis(mon
     step_jacobian(model, state, None, params, res, theta=["q", "v", "tau", "mu"])
     assert len(calls["frame_derivative"]) == 1
     assert len(calls["sliding_basis"]) == len(calls["assemble_reduced_system"]) == 1
+
+
+def test_chain12_jacobian_runs_one_frame_derivative_and_no_narrow_phase(monkeypatch):
+    """chain12's four contacts come from four pairs of one kind: the contact
+    packs differentiate them in one frame_derivative call and run no narrow
+    phase."""
+    model, state, params = load_scene("chain12")
+    res = step(model, state, None, params)
+    assert len(model.pairs) == len(res.contacts) == 4
+    calls = {"frame_derivative": 0, "_contact_records": 0}
+    for name in calls:
+        def counting(*args, _fn=getattr(collision, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(collision, name, counting)
+    step_jacobian(model, state, None, params, res, theta="all")
+    assert calls == {"frame_derivative": 1, "_contact_records": 0}
 
 
 def test_step_jacobian_block_lists_match_single_blocks():
@@ -696,7 +714,7 @@ def _sigma_frozen(model, q, v, tau, params, lam, order):
     contacts = detect_contacts(model, kin, params.contact_margin)
     by_key = {k: i for i, k in enumerate(contacts.keys())}
     contacts = contacts[np.array([by_key[k] for k in order])]
-    J_c = contact_jacobian(model, dyn, contacts)
+    J_c = contact_jacobian(model, dyn, contacts)[2]
     G = J_c @ dyn.solve(J_c.T)
     g = J_c @ v_free
     for i, f in enumerate(contacts):
@@ -776,7 +794,7 @@ def test_frame_correction_adjointness():
     state = tilted_cube_state(model)
     params = tight_params(ncp_tol=3e-15)
     res = step(model, state, None, params)
-    packs = _contact_packs(model, res.dyn, res.contacts)
+    packs = _contact_packs(model, res)
     n = len(res.contacts)
     gen = np.random.default_rng(7)
     for i in range(n):

@@ -8,9 +8,10 @@ import pytest
 
 from conftest import chain_model, cube_model, fixed_chain_no_contact, fixed_joint_tree, translation
 from diffcontact.cli import bundled_scenes, load_scene
-from diffcontact.collision import Sphere
+from diffcontact.collision import Box, Halfspace, Sphere, UnsupportedCollisionPair
 from diffcontact.model import (
     BodyInertia,
+    FrictionPair,
     Geometry,
     JointSpec,
     KinematicModel,
@@ -143,6 +144,36 @@ def test_difference_jacobian_matches_fd():
         fd = (difference(m, q0, integrate(m, q1, e))
               - difference(m, q0, integrate(m, q1, -e))) / (2 * eps)
         np.testing.assert_allclose(D[:, k], fd, atol=5e-6)
+
+
+def _one_pair_model(shape_a, shape_b):
+    """A free body carrying shape_a, with one pair against shape_b fixed in
+    the world."""
+    return KinematicModel([JointSpec("free", -1)],
+                          [BodyInertia(1.0, np.zeros(3), np.eye(3) * 0.01)],
+                          [Geometry(0, shape_a), Geometry(-1, shape_b)],
+                          [FrictionPair(0, 1, 0.5)])
+
+
+SPHERE, BOX = Sphere(0.1), Box(np.array([0.1, 0.1, 0.1]))
+GROUND = Halfspace(np.array([0.0, 0.0, 1.0]))
+
+
+@pytest.mark.parametrize("shapes", [(GROUND, SPHERE), (BOX, SPHERE), (SPHERE, BOX),
+                                    (GROUND, GROUND)],
+                         ids=["halfspace-sphere", "box-sphere", "sphere-box",
+                              "halfspace-halfspace"])
+def test_unsupported_pair_fails_when_the_model_is_built(shapes):
+    """A pair the narrow phase cannot handle in its order is rejected by the
+    constructor, not at the first step."""
+    with pytest.raises(UnsupportedCollisionPair, match="pairs\\[0\\]"):
+        _one_pair_model(*shapes)
+
+
+def test_supported_pairs_build_in_their_order():
+    assert len(_one_pair_model(SPHERE, GROUND).pair_kinds) == 1
+    assert len(_one_pair_model(BOX, GROUND).pair_kinds) == 1
+    assert len(_one_pair_model(SPHERE, SPHERE).pair_kinds) == 1
 
 
 def test_forward_kinematics_two_link_oracle():
@@ -302,9 +333,9 @@ def test_compute_kinematics_matches_per_joint_composition():
             kin = compute_kinematics(m, q)
             R, p, psi, geoms = reference_kinematics(m, q)
             pairs = [(kin.body_rotations, R), (kin.body_translations, p), (kin.psi, psi)]
-            pairs += [(a.rotation, b.rotation) for a, b in zip(kin.geom_placements, geoms)]
-            pairs += [(a.translation, b.translation) for a, b in zip(kin.geom_placements, geoms)]
-            assert len(kin.geom_placements) == len(m.geometries)
+            pairs += [(a, b.rotation) for a, b in zip(kin.geom_rotations, geoms)]
+            pairs += [(a, b.translation) for a, b in zip(kin.geom_translations, geoms)]
+            assert len(kin.geom_rotations) == len(m.geometries)
             for got, ref in pairs:
                 assert got.shape == ref.shape
                 scale = max(1.0, float(np.abs(ref).max(initial=0.0)))

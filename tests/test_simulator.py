@@ -6,8 +6,15 @@ import logging
 import numpy as np
 import pytest
 
-from conftest import cube_model, cube_state, sphere_model, tight_params
-from diffcontact import derivatives, simulator
+from conftest import (
+    cube_model,
+    cube_state,
+    mixed_kind_model,
+    mixed_kind_state,
+    sphere_model,
+    tight_params,
+)
+from diffcontact import collision, derivatives, simulator
 from diffcontact.cli import load_scene
 from diffcontact.contact import Mode
 from diffcontact.derivatives import step_jacobian
@@ -16,12 +23,14 @@ from diffcontact.model import difference, integrate
 from diffcontact.simulator import (
     SimParams,
     SimState,
+    detect_contacts,
     rollout,
     rollout_jacobian,
     step,
     trajectory_header,
     trajectory_rows,
 )
+from oracles import contact_packs_per_pair, detect_contacts_per_pair
 
 GRAVITY = 9.81
 
@@ -318,3 +327,53 @@ def test_unconverged_step_warns_and_flags_jacobian(caplog):
     assert "1 sweeps" in record.getMessage()
     assert f"ncp_tol {params.ncp_tol:.3g}" in record.getMessage()
     assert not step_jacobian(model, state, None, capped, res).converged
+
+
+def _assert_same_contacts(got, want):
+    assert len(got) == len(want)
+    for name, value in vars(want).items():
+        assert np.array_equal(getattr(got, name), value), name
+    assert got.keys() == want.keys()
+
+
+def test_contacts_and_packs_batched_by_kind_equal_the_per_pair_oracle():
+    """On pairs that interleave the three kinds, with a pair out of margin
+    between two in contact, the kind-batched contact sets, frame Jacobians
+    and frame derivatives are bit for bit the per-pair ones, in pair-major
+    order."""
+    model = mixed_kind_model()
+    assert [k.pairs.tolist() for k in model.pair_kinds] == [[0, 3, 4], [1], [2]]
+    params = tight_params()
+    gen = np.random.default_rng(23)
+    for _ in range(10):
+        state = mixed_kind_state(model, gen)
+        res = step(model, state, gen.normal(size=model.nv), params)
+        cs = res.contacts
+        runs = [tuple(p) for i, p in enumerate(cs.pair.tolist())
+                if i == 0 or p != cs.pair[i - 1].tolist()]
+        assert runs == [(0, 5), (1, 5), (3, 2), (2, 5)]
+        kin = res.dyn.kin
+        _assert_same_contacts(cs, detect_contacts_per_pair(model, kin, params.contact_margin))
+        _assert_same_contacts(detect_contacts(model, kin, np.inf),
+                              detect_contacts_per_pair(model, kin, np.inf))
+        packs = derivatives._contact_packs(model, res)
+        want = contact_packs_per_pair(model, res.dyn, cs)
+        for name in ("Xc_inv", "Jc6", "dM", "dphi_dq"):
+            assert np.array_equal(getattr(packs, name), getattr(want, name)), name
+        assert np.array_equal(res.J_c, want.Jc6[:, 3:].reshape(-1, model.nv))
+
+
+def test_chain12_step_runs_one_narrow_phase_and_one_frame_from_normal(monkeypatch):
+    """chain12's four feet are four pairs of one kind: a step runs the narrow
+    phase once over all four and builds their frames in one call."""
+    model, state, params = load_scene("chain12")
+    calls = {"narrow_phase": 0, "frame_from_normal": 0}
+    for module, name in ((simulator, "narrow_phase"), (collision, "frame_from_normal")):
+        def counting(*args, _fn=getattr(module, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counting)
+    res = step(model, state, None, params)
+    assert len(model.pairs) == len(res.contacts) == 4
+    assert calls == {"narrow_phase": 1, "frame_from_normal": 1}

@@ -82,3 +82,18 @@ def test_traced_step_records_one_narrow_phase_span_per_pair(tracing):
         patches.restore()
     assert model.pairs
     assert tracer.calls("collision.narrow_phase") == len(model.pairs)
+
+
+def test_traced_chain12_step_records_one_narrow_phase_span(tracing):
+    """chain12's four pairs are one kind, so the traced step's
+    collision.narrow_phase span fires once, not once per pair."""
+    model, state, params = load_scene("chain12")
+    patches = tracing.Patches()
+    tracer = tracing.Tracer()
+    try:
+        tracer.install(patches)
+        res = simulator.step(model, state, None, params)
+    finally:
+        patches.restore()
+    assert len(model.pairs) == len(res.contacts) == 4
+    assert tracer.calls("collision.narrow_phase") == 1
