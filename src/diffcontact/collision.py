@@ -6,10 +6,12 @@ the contact normal, which points from geometry 2 toward geometry 1.
 Plane contacts are placed on the plane; sphere-sphere contacts at the
 midpoint of the two surface points.
 
-The layer is batched by (shape, shape) kind. pair_kinds groups a model's
+The layer is batched by (shape, shape) kind. A PairTable groups a model's
 declared pairs by kind once, with each side's shapes stacked into one shape
-of the class (stack_shapes: every field gains a leading pair axis).
-narrow_phase then runs once per kind over the stacked placements, and
+of the class (stack_shapes: every field gains a leading pair axis), and
+owns every lookup from a contact back to its pair. narrow_phase then runs
+once per kind over the stacked placements, the table merges the kinds'
+contacts into pair-major order, and its frame_derivative runs the module's
 frame_derivative once per kind over the kind's contacts. One pair's single
 shapes and placements are a kind of one and take the same code.
 
@@ -29,7 +31,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .spatial import Placement, _cross, skew
+from .spatial import Placement, _cross, _index, skew
 
 
 class UnsupportedCollisionPair(ValueError):
@@ -247,27 +249,93 @@ class PairKind:
     shape2: object
     ids: np.ndarray       # (k, 4) geom_a, geom_b, body of geom_a, body of geom_b
     mu: np.ndarray        # (k,) friction coefficients
+    geoms: tuple          # rows of geom_a and geom_b, as slices when consecutive
 
 
-def pair_kinds(geometries, pairs) -> list:
-    """The declared pairs grouped by (shape, shape) kind, kinds in order of
-    first appearance. A pair that narrow_phase does not handle in its
-    order raises UnsupportedCollisionPair."""
-    groups = {}
-    for i, p in enumerate(pairs):
-        s1, s2 = geometries[p.geom_a].shape, geometries[p.geom_b].shape
-        if not pair_supported(s1, s2):
-            raise UnsupportedCollisionPair(f"pairs[{i}]: {_unsupported(s1, s2)}")
-        groups.setdefault((type(s1), type(s2)), []).append(i)
-    kinds = []
-    for idx in groups.values():
-        ps = [pairs[i] for i in idx]
-        g1, g2 = [geometries[p.geom_a] for p in ps], [geometries[p.geom_b] for p in ps]
-        kinds.append(PairKind(
-            np.array(idx), stack_shapes([g.shape for g in g1]), stack_shapes([g.shape for g in g2]),
-            np.array([(p.geom_a, p.geom_b, a.body, b.body) for p, a, b in zip(ps, g1, g2)]),
-            np.array([p.mu for p in ps], dtype=float)))
-    return kinds
+class PairTable:
+    """A model's declared pairs grouped by (shape, shape) kind, built once
+    with the model: the kinds (in order of first appearance), and from a
+    contact's geometry pair its declared position, kind and slot in the
+    kind. It merges the kinds' contact sets into pair-major order and
+    differentiates a step's contacts once per kind.
+
+    A pair that narrow_phase does not handle in its order raises
+    UnsupportedCollisionPair. A pair of an unknown geometry or with negative
+    friction, a geometry paired with itself, and two geometries paired twice
+    (in either order) raise ValueError."""
+
+    def __init__(self, geometries, pairs):
+        ng, groups = len(geometries), {}
+        self._index = np.full((ng, ng), -1)
+        for i, pr in enumerate(pairs):
+            a, b = pr.geom_a, pr.geom_b
+            if not (0 <= a < ng and 0 <= b < ng):
+                raise ValueError(f"pairs[{i}]: pair references unknown geometry")
+            if pr.mu < 0.0:
+                raise ValueError(f"pairs[{i}]: friction coefficient must be >= 0")
+            if a == b:
+                raise ValueError(f"pairs[{i}]: geometry {a} is paired with itself")
+            first = max(self._index[a, b], self._index[b, a])
+            if first >= 0:
+                raise ValueError(f"pairs[{i}]: geometries {a} and {b} are already paired "
+                                 f"by pairs[{first}]")
+            s1, s2 = geometries[a].shape, geometries[b].shape
+            if not pair_supported(s1, s2):
+                raise UnsupportedCollisionPair(f"pairs[{i}]: {_unsupported(s1, s2)}")
+            self._index[a, b] = i
+            groups.setdefault((type(s1), type(s2)), []).append(i)
+        self.kinds = []
+        for idx in groups.values():
+            ps = [pairs[i] for i in idx]
+            g1, g2 = [geometries[p.geom_a] for p in ps], [geometries[p.geom_b] for p in ps]
+            self.kinds.append(PairKind(
+                np.array(idx), *(stack_shapes([g.shape for g in gs]) for gs in (g1, g2)),
+                np.array([(p.geom_a, p.geom_b, a.body, b.body) for p, a, b in zip(ps, g1, g2)]),
+                np.array([p.mu for p in ps], dtype=float),
+                (_index([p.geom_a for p in ps]), _index([p.geom_b for p in ps]))))
+        # Each declared pair's kind and slot in the kind.
+        self._kind, self._slot = np.zeros((2, len(pairs)), int)
+        for k, kind in enumerate(self.kinds):
+            self._kind[kind.pairs] = k
+            self._slot[kind.pairs] = np.arange(len(kind.pairs))
+        # Only when concatenating the kinds breaks the declared order must merge reorder.
+        order = [i for kind in self.kinds for i in kind.pairs.tolist()]
+        self._interleave = order != list(range(len(pairs)))
+
+    def pair_index(self, pair: np.ndarray) -> np.ndarray:
+        """Declared positions of the geometry pairs (n, 2) of contacts."""
+        return self._index[pair[:, 0], pair[:, 1]]
+
+    def merge(self, found) -> ContactSet:
+        """The kinds' ContactSets, one per kind in kind order, as one set in
+        pair-major order; reordered only when the kinds interleave in the
+        declared pair list."""
+        found = [cs for cs in found if len(cs)]
+        if len(found) < 2:
+            return found[0] if found else NO_CONTACTS
+        cs = ContactSet(*(np.concatenate(f) for f in zip(*(vars(cs).values() for cs in found))))
+        return cs[np.argsort(self.pair_index(cs.pair), kind="stable")] if self._interleave else cs
+
+    def frame_derivative(self, contacts: ContactSet, R: np.ndarray, p: np.ndarray,
+                         T1: np.ndarray, T2: np.ndarray):
+        """frame_derivative of contacts of these pairs, one call per kind over
+        its contacts, each with its own pair's shapes and placements (out of
+        the stacked geometry rotations R and translations p) and world twist
+        columns T1, T2 (n, 6, m). Returns dM (n, 6, m) and dphi (n, m) in
+        contact order."""
+        pairs = self.pair_index(contacts.pair)
+        kind_of, slot = self._kind[pairs], self._slot[pairs]
+        n, m = len(contacts), T1.shape[-1]
+        dM, dphi = np.empty((n, 6, m)), np.empty((n, m))
+        for k, kind in enumerate(self.kinds):
+            at = np.flatnonzero(kind_of == k) if len(self.kinds) > 1 else slice(None)
+            a, b, s = contacts.pair[at, 0], contacts.pair[at, 1], slot[at]
+            if not len(s):
+                continue
+            dM[at], dphi[at] = frame_derivative(
+                take_shapes(kind.shape1, s), take_shapes(kind.shape2, s),
+                Placement(R[a], p[a]), Placement(R[b], p[b]), contacts[at], T1[at], T2[at])
+        return dM, dphi
 
 
 def narrow_phase(shape1, shape2, M1: Placement, M2: Placement, margin: float = 1e-4,
@@ -284,14 +352,13 @@ def narrow_phase(shape1, shape2, M1: Placement, M2: Placement, margin: float = 1
         ids, mu = [ids], [mu]
     n, points, phi, features, face_tie = _contact_records(shape1, shape2, M1, M2)
     keep = phi <= margin
-    of = np.nonzero(keep)[0]
+    of = np.nonzero(keep)[0]  # the pair of each kept contact
     if not of.size:
         return NO_CONTACTS
-    n = n[of]
-    boundary = face_tie[of] | (np.abs(np.abs(n[:, 0]) - _REF_SWITCH) < 1e-6)
+    boundary = face_tie | (np.abs(np.abs(n[:, 0]) - _REF_SWITCH) < 1e-6)
     ids = np.asarray(ids, dtype=int)[of]
-    return ContactSet(frame_from_normal(n), points[keep], phi[keep], features[keep], boundary,
-                      ids[:, :2], ids[:, 2:], np.asarray(mu, dtype=float)[of])
+    return ContactSet(frame_from_normal(n)[of], points[keep], phi[keep], features[keep],
+                      boundary[of], ids[:, :2], ids[:, 2:], np.asarray(mu, dtype=float)[of])
 
 
 def _point_velocity(T: np.ndarray, S: np.ndarray) -> np.ndarray:

@@ -44,7 +44,6 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.linalg import svd
 
-from . import collision as co
 from .contact import _RANK_RTOL, ContactProblem, ContactSolution, Mode
 from .dynamics import (
     applied_wrench_q_derivative,  # noqa: F401  unused; the benchmark tracer patches this name
@@ -58,7 +57,7 @@ from .model import (
     jv_q_derivatives,  # noqa: F401  unused; the benchmark tracer patches this name
 )
 from .simulator import _body_rows, _is_pair_index
-from .spatial import Placement, motion_cross, p_operator
+from .spatial import motion_cross, p_operator
 
 
 class SingularSlidingMode(ValueError):
@@ -160,24 +159,12 @@ class _ContactDiff:
 def _contact_packs(model, result):
     """The packs of the step's ContactSet: the frame Jacobians the step built
     for J_c, and the frames' derivatives along the rows of the step's body
-    Jacobians, one frame_derivative call per (shape, shape) kind over its
-    contacts; no narrow phase runs again."""
-    dyn, contacts = result.dyn, result.contacts
-    n, nv = len(contacts), model.nv
-    T12 = _body_rows(dyn.J, contacts.bodies)
-    R, p = dyn.kin.geom_rotations, dyn.kin.geom_translations
-    pairs = model._pair_index[contacts.pair[:, 0], contacts.pair[:, 1]]
-    kind_of, slot = model._pair_kind[pairs], model._pair_slot[pairs]
-    dM, dphi = np.empty((n, 6, nv)), np.empty((n, nv))
-    for k, kind in enumerate(model.pair_kinds):
-        at = np.flatnonzero(kind_of == k) if len(model.pair_kinds) > 1 else slice(None)
-        a, b, s = contacts.pair[at, 0], contacts.pair[at, 1], slot[at]
-        if not len(s):
-            continue
-        dM[at], dphi[at] = co.frame_derivative(
-            co.take_shapes(kind.shape1, s), co.take_shapes(kind.shape2, s),
-            Placement(R[a], p[a]), Placement(R[b], p[b]), contacts[at],
-            T12[at, 0], T12[at, 1])
+    Jacobians (model.pair_table.frame_derivative, one call per (shape, shape)
+    kind); no narrow phase runs again."""
+    kin, contacts = result.dyn.kin, result.contacts
+    T12 = _body_rows(result.dyn.J, contacts.bodies)
+    dM, dphi = model.pair_table.frame_derivative(
+        contacts, kin.geom_rotations, kin.geom_translations, T12[:, 0], T12[:, 1])
     return _ContactDiff(Xc_inv=result.Xc_inv, Jc6=result.Jc6, dM=dM, dphi_dq=dphi)
 
 
@@ -318,8 +305,7 @@ def _mu_impulse_direction(model, result, cols) -> np.ndarray:
     mu, lam_n, sig = contacts.friction[sl], sol.lam[3 * sl + 2], sol.sigma.reshape(-1, 3)[sl]
     u = sig[:, :2] / np.hypot(sig[:, 0], sig[:, 1])[:, None]
     along = (-lam_n / (1.0 + mu * mu))[:, None] * np.column_stack([u, mu])
-    in_col = (contacts.pair[sl, None] == [[(model.pairs[k].geom_a, model.pairs[k].geom_b)
-                                           for k in cols]]).all(axis=-1)
+    in_col = model.pair_table.pair_index(contacts.pair[sl])[:, None] == np.array(cols)
     p_dir = np.zeros((len(contacts), 3, len(cols)))
     p_dir[sl] = np.where(in_col[:, None, :], along[:, :, None], 0.0)
     return p_dir.reshape(-1, len(cols))

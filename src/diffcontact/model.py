@@ -24,9 +24,8 @@ and prismatic coordinates with one indexed add; only free joints take the
 SE(3) exponential, one by one.
 
 The model also stacks every geometry placement, which compute_kinematics
-moves with the bodies as stacked arrays, and groups the declared collision
-pairs by (shape, shape) kind (collision.pair_kinds), so that the contact
-layer runs once per kind.
+moves with the bodies as stacked arrays, and builds its collision.PairTable,
+which groups the declared pairs by (shape, shape) kind for the contact layer.
 """
 from __future__ import annotations
 
@@ -34,9 +33,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .collision import pair_kinds
+from .collision import PairTable
 from .spatial import (
     Placement,
+    _index,
     adjoint,
     adjoint_inverse,
     motion_cross,
@@ -54,16 +54,6 @@ from .spatial import (
 _EYE3 = np.eye(3)
 _JOINT_NQ = {"free": 7, "revolute": 1, "prismatic": 1, "fixed": 0}
 _JOINT_NV = {"free": 6, "revolute": 1, "prismatic": 1, "fixed": 0}
-
-
-def _index(indices):
-    """Index for a set of rows: a slice when they are consecutive, which
-    numpy reads and writes as a view, else the integer array."""
-    idx = np.asarray(indices, dtype=int)
-    if idx.size == 0 or np.array_equal(idx, np.arange(idx[0], idx[0] + idx.size)):
-        start = int(idx[0]) if idx.size else 0
-        return slice(start, start + idx.size)
-    return idx
 
 
 def _stack_placements(placements):
@@ -163,7 +153,7 @@ class KinematicModel:
             [spatial_inertia_local(b.mass, b.com, b.inertia) for b in self.inertias]
         ).reshape(self.nb, 6, 6)
         self._stack_joints()
-        self._group_pairs()
+        self.pair_table = PairTable(self.geometries, self.pairs)
 
         if actuated is None:
             actuated = list(range(self.nv))
@@ -224,26 +214,6 @@ class KinematicModel:
         self._geom_body = _index([self.geometries[k].body for k in att])
         self._geom_rot, self._geom_trans = _stack_placements(g.placement for g in self.geometries)
 
-    def _group_pairs(self):
-        """The declared pairs grouped by (shape, shape) kind (collision.pair_kinds,
-        which rejects a pair the narrow phase cannot handle), and the lookups
-        from a contact's geometry pair to its declared pair, kind and slot in
-        the kind. The kinds interleave when concatenating them does not give
-        the declared order; only then must detect_contacts reorder."""
-        self.pair_kinds = pair_kinds(self.geometries, self.pairs)
-        # Each kind's geometries of side 1 and side 2, as slices when consecutive.
-        self._kind_geoms = [(_index(k.ids[:, 0]), _index(k.ids[:, 1])) for k in self.pair_kinds]
-        ng, npairs = len(self.geometries), len(self.pairs)
-        self._pair_index = np.full((ng, ng), -1)
-        for i, p in enumerate(self.pairs):
-            self._pair_index[p.geom_a, p.geom_b] = i
-        self._pair_kind, self._pair_slot = np.zeros(npairs, int), np.zeros(npairs, int)
-        for i, kind in enumerate(self.pair_kinds):
-            self._pair_kind[kind.pairs] = i
-            self._pair_slot[kind.pairs] = np.arange(len(kind.pairs))
-        order = [i for kind in self.pair_kinds for i in kind.pairs.tolist()]
-        self._kinds_interleave = order != list(range(npairs))
-
     def _validate_structure(self):
         if len(self.inertias) != self.nb:
             raise ValueError("need one inertia per body")
@@ -264,12 +234,6 @@ class KinematicModel:
         for g in self.geometries:
             if not -1 <= g.body < self.nb:
                 raise ValueError("geometry attached to unknown body")
-        for p in self.pairs:
-            ng = len(self.geometries)
-            if not (0 <= p.geom_a < ng and 0 <= p.geom_b < ng):
-                raise ValueError("pair references unknown geometry")
-            if p.mu < 0.0:
-                raise ValueError("friction coefficient must be >= 0")
 
     def q_slice(self, i: int) -> slice:
         return slice(int(self.q_offsets[i]), int(self.q_offsets[i + 1]))

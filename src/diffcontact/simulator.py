@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .collision import NO_CONTACTS, ContactSet, narrow_phase
+from .collision import ContactSet, narrow_phase
 from .contact import ContactProblem, ContactSolution, solve_ncp
 from .dynamics import DynamicsData, compute_dynamics
 from .model import KinematicModel, compute_kinematics, integrate
@@ -87,21 +87,13 @@ def _keyed_impulses(keyed: dict, contacts) -> np.ndarray:
 
 def detect_contacts(model: KinematicModel, kin, margin: float) -> ContactSet:
     """Narrow phase over the declared pairs, one call per (shape, shape) kind
-    on the stacked geometry placements, each contact labelled with its pair,
-    bodies and friction. The kinds' sets are stacked into one ContactSet in
-    pair-major order; it is reordered only when kinds interleave in the
-    declared pair list."""
-    R, p = kin.geom_rotations, kin.geom_translations
-    found = [narrow_phase(k.shape1, k.shape2, Placement(R[a], p[a]), Placement(R[b], p[b]),
-                          margin, k.ids, k.mu)
-             for k, (a, b) in zip(model.pair_kinds, model._kind_geoms)]
-    found = [cs for cs in found if len(cs)]
-    if len(found) < 2:
-        return found[0] if found else NO_CONTACTS
-    cs = ContactSet(*(np.concatenate(f) for f in zip(*(vars(cs).values() for cs in found))))
-    if model._kinds_interleave:
-        cs = cs[np.argsort(model._pair_index[cs.pair[:, 0], cs.pair[:, 1]], kind="stable")]
-    return cs
+    of model.pair_table on the stacked geometry placements, each contact
+    labelled with its pair, bodies and friction, merged by the table into
+    one ContactSet in pair-major order."""
+    R, p, table = kin.geom_rotations, kin.geom_translations, model.pair_table
+    return table.merge([narrow_phase(k.shape1, k.shape2, Placement(R[a], p[a]),
+                                     Placement(R[b], p[b]), margin, k.ids, k.mu)
+                        for k in table.kinds for a, b in [k.geoms]])
 
 
 def _body_rows(A: np.ndarray, bodies: np.ndarray) -> np.ndarray:

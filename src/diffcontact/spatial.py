@@ -13,6 +13,16 @@ import numpy as np
 _EPS_ANGLE = 1e-8
 
 
+def _index(indices):
+    """Index for a set of rows: a slice when they are consecutive, which
+    numpy reads and writes as a view, else the integer array."""
+    idx = np.asarray(indices, dtype=int)
+    if idx.size == 0 or np.array_equal(idx, np.arange(idx[0], idx[0] + idx.size)):
+        start = int(idx[0]) if idx.size else 0
+        return slice(start, start + idx.size)
+    return idx
+
+
 # skew(u).ravel() == u @ _SKEW_BASIS. Each entry of skew(u) is +-1 times one
 # component of u, so the product is exact, and it stacks over leading axes.
 _SKEW_BASIS = np.array([[0.0, 0.0, 0.0, 0.0, 0.0, -1.0, 0.0, 1.0, 0.0],
@@ -153,29 +163,24 @@ def _so3_exp_and_left_jacobian(w: np.ndarray):
     return np.eye(3) + sin / theta * W + cW @ W, np.eye(3) + cW + b * W @ W
 
 
-def so3_exp(w: np.ndarray) -> np.ndarray:
-    return _so3_exp_and_left_jacobian(w)[0]
-
-
 def so3_log(R: np.ndarray) -> np.ndarray:
-    """Rotation vector of R, angle in [0, pi] (shortest arc)."""
+    """Rotation vector of R, angle in [0, pi] (shortest arc).
+
+    Past pi/2 (cos(theta) <= 0), where arccos and the skew part lose
+    precision, theta = atan2(|vee(R - R^T)| / 2, cos(theta)), and the axis is
+    the largest column of (R + R^T) / 2 - cos(theta) I = (1 - cos(theta)) a a^T,
+    signed along vee(R - R^T) = 2 sin(theta) a."""
     cos_theta = np.clip((np.trace(R) - 1.0) / 2.0, -1.0, 1.0)
+    s = unskew(R - R.T)
+    if cos_theta <= 0.0:
+        B = 0.5 * (R + R.T) - cos_theta * np.eye(3)
+        axis = B[:, int(np.argmax(np.diag(B)))]
+        axis = axis / np.linalg.norm(axis) * (-1.0 if axis @ s < 0.0 else 1.0)
+        return float(np.arctan2(np.linalg.norm(s) / 2.0, cos_theta)) * axis
     theta = float(np.arccos(cos_theta))
     if theta < _EPS_ANGLE:
-        return unskew(R - R.T) / 2.0
-    if np.pi - theta < 1e-6:
-        # Near-antipodal: axis from the dominant column of R + I.
-        A = R + np.eye(3)
-        k = int(np.argmax(np.diag(A)))
-        axis = A[:, k] / np.linalg.norm(A[:, k])
-        w = theta * axis
-        # Fix the sign so exp matches.
-        if np.linalg.norm(so3_exp(w) - R, ord="fro") > np.linalg.norm(
-            so3_exp(-w) - R, ord="fro"
-        ):
-            w = -w
-        return w
-    return theta / (2.0 * np.sin(theta)) * unskew(R - R.T)
+        return s / 2.0
+    return theta / (2.0 * np.sin(theta)) * s
 
 
 def se3_exp(xi: np.ndarray) -> Placement:

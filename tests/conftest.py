@@ -23,7 +23,8 @@ from diffcontact.model import (
     KinematicModel,
 )
 from diffcontact.simulator import SimParams, SimState
-from diffcontact.spatial import Placement, rotation_to_quat, so3_exp
+from diffcontact.spatial import Placement, rotation_to_quat
+from oracles import so3_exp
 
 
 def free_placement():

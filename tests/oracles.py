@@ -1,9 +1,9 @@
 """Reference functions that only the tests use: the friction-cone
 projections and the De Saxce correction written out on numpy vectors, the
 force cross operator, the ad and P operators assembled block by block,
-inverse dynamics and the energies, body Jacobians and placements, point
-maps, the frozen-impulse contact-velocity derivative, and the contact
-layer run one declared pair at a time.
+the SO(3) exponential alone, inverse dynamics and the energies, body
+Jacobians and placements, point maps, the frozen-impulse contact-velocity
+derivative, and the contact layer run one declared pair at a time.
 
 cone_project wraps the solver's own scalar projection, so the tests of the
 projection check the code the PGS sweep runs. The dynamics oracles are
@@ -24,7 +24,13 @@ from diffcontact.dynamics import (
 )
 from diffcontact.model import compute_kinematics
 from diffcontact.simulator import _body_rows
-from diffcontact.spatial import Placement, adjoint_inverse, motion_cross, skew
+from diffcontact.spatial import (
+    Placement,
+    _so3_exp_and_left_jacobian,
+    adjoint_inverse,
+    motion_cross,
+    skew,
+)
 
 
 def cone_project(lam: np.ndarray, mu: float) -> np.ndarray:
@@ -74,6 +80,11 @@ def p_operator_blocks(y: np.ndarray) -> np.ndarray:
     out[..., :3, :3] = skew(y[..., :3])
     out[..., :3, 3:] = out[..., 3:, :3] = skew(y[..., 3:])
     return out
+
+
+def so3_exp(w: np.ndarray) -> np.ndarray:
+    """exp(skew(w)), the rotation of the library's SO(3) exponential."""
+    return _so3_exp_and_left_jacobian(w)[0]
 
 
 def inverse_dynamics(model, q, v, a) -> np.ndarray:

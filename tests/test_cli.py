@@ -257,6 +257,43 @@ def test_invalid_scene_values_exit_2(tmp_path, capsys, corrupt, words):
     assert err.startswith("error: ") and words in err
 
 
+def _sphere_without_radius(doc):
+    doc["geometries"][0]["params"] = {}
+
+
+def _revolute_without_axis(doc):
+    doc["bodies"].append({"mass": 1.0, "inertia_diag": [0.01, 0.01, 0.01],
+                          "joint": {"kind": "revolute", "parent": 0}})
+
+
+def _pair_out_of_range(doc):
+    doc["pairs"][0]["b"] = 2
+
+
+def _repeated_pair(doc):
+    doc["pairs"].append({"a": 1, "b": 0, "mu": 0.9})
+
+
+@pytest.mark.parametrize("corrupt, words", [
+    (_sphere_without_radius, "shape 'sphere' is missing parameter 'radius'"),
+    (_revolute_without_axis, "bodies[1].joint: revolute joint needs an axis"),
+    (_pair_out_of_range, "pairs[0]: geometry index out of range"),
+    (_repeated_pair, "pairs[1]: geometries 0 and 1 are already paired by pairs[0]"),
+])
+def test_scene_loader_rejects_incomplete_or_repeated_entries(tmp_path, capsys, corrupt, words):
+    """Entries the schema admits but the loader or the model rejects raise
+    SceneError from the loader, and the CLI exits 2 with the same words."""
+    bad = minimal_scene()
+    corrupt(bad)
+    with pytest.raises(SceneError, match=re.escape(words)):
+        scene_from_dict(bad)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(bad))
+    code, _, err = run(["simulate", "--scene", str(path)], capsys)
+    assert code == 2
+    assert err.startswith("error: ") and words in err
+
+
 def test_pair_order_normalized(tmp_path):
     """Pairs may be written in either geometry order; loading canonicalizes
     to the supported (shape_a, shape_b) orientation."""

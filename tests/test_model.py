@@ -22,8 +22,8 @@ from diffcontact.model import (
     integrate_jacobians,
     jv_q_derivatives,
 )
-from diffcontact.spatial import Placement, adjoint, quat_to_rotation, se3_exp, so3_exp
-from oracles import body_jacobian_world, body_placement
+from diffcontact.spatial import Placement, adjoint, quat_to_rotation, se3_exp
+from oracles import body_jacobian_world, body_placement, so3_exp
 
 rng = np.random.default_rng(11)
 
@@ -171,9 +171,56 @@ def test_unsupported_pair_fails_when_the_model_is_built(shapes):
 
 
 def test_supported_pairs_build_in_their_order():
-    assert len(_one_pair_model(SPHERE, GROUND).pair_kinds) == 1
-    assert len(_one_pair_model(BOX, GROUND).pair_kinds) == 1
-    assert len(_one_pair_model(SPHERE, SPHERE).pair_kinds) == 1
+    assert len(_one_pair_model(SPHERE, GROUND).pair_table.kinds) == 1
+    assert len(_one_pair_model(BOX, GROUND).pair_table.kinds) == 1
+    assert len(_one_pair_model(SPHERE, SPHERE).pair_table.kinds) == 1
+
+
+@pytest.mark.parametrize("pairs, words", [
+    ([(0, 2), (1, 2), (0, 2)], r"pairs\[2\]: geometries 0 and 2 are already paired by pairs\[0\]"),
+    ([(0, 2), (1, 2), (2, 1)], r"pairs\[2\]: geometries 2 and 1 are already paired by pairs\[1\]"),
+    ([(0, 2), (1, 1)], r"pairs\[1\]: geometry 1 is paired with itself"),
+], ids=["repeated", "reversed", "self"])
+def test_repeated_or_self_pair_fails_when_the_model_is_built(pairs, words):
+    """Two geometries may be paired once: a second declaration, in either
+    order, would give two contacts with one warm-start key at one point."""
+    with pytest.raises(ValueError, match=words):
+        KinematicModel([JointSpec("free", -1), JointSpec("free", -1)],
+                       [BodyInertia(1.0, np.zeros(3), np.eye(3) * 0.01)] * 2,
+                       [Geometry(0, SPHERE), Geometry(1, SPHERE), Geometry(-1, GROUND)],
+                       [FrictionPair(a, b, 0.5) for a, b in pairs])
+
+
+def _body_inertia(mass=1.0, inertia=np.eye(3) * 0.01):
+    return BodyInertia(mass, np.zeros(3), inertia)
+
+
+_FREE = JointSpec("free", -1)
+
+
+@pytest.mark.parametrize("build, words", [
+    (lambda: KinematicModel([_FREE], [_body_inertia()], actuated=[6]), "actuated indices"),
+    (lambda: KinematicModel([_FREE], []), "one inertia per body"),
+    (lambda: KinematicModel([JointSpec("ball", -1)], [_body_inertia()]), "unknown joint kind"),
+    (lambda: KinematicModel([_FREE], [_body_inertia(mass=0.0)]), "mass must be positive"),
+    (lambda: KinematicModel([_FREE], [_body_inertia(inertia=np.diag([0.01, 0.01, -0.01]))]),
+     "symmetric positive definite"),
+    (lambda: KinematicModel([_FREE], [_body_inertia()], [Geometry(1, SPHERE)]),
+     "geometry attached to unknown body"),
+    (lambda: KinematicModel([_FREE], [_body_inertia()], [Geometry(0, SPHERE)],
+                            [FrictionPair(0, 1, 0.5)]), "pair references unknown geometry"),
+    (lambda: KinematicModel([_FREE], [_body_inertia()], [Geometry(0, SPHERE), Geometry(-1, GROUND)],
+                            [FrictionPair(0, 1, -0.1)]), "friction coefficient"),
+    (lambda: cube_model().check_configuration(np.zeros(6)), "configuration must have shape"),
+    (lambda: compute_kinematics(cube_model(), np.zeros(6)), "configuration must have shape"),
+    (lambda: integrate(cube_model(), np.zeros(7), np.zeros(7)), "integrate: dimension mismatch"),
+    (lambda: difference(cube_model(), np.zeros(7), np.zeros(6)), "difference: dimension mismatch"),
+], ids=["actuated", "inertia-count", "joint-kind", "mass", "inertia-spd", "geometry-body",
+        "pair-geometry", "friction", "check-shape", "kinematics-shape", "integrate-shape",
+        "difference-shape"])
+def test_invalid_model_input_raises(build, words):
+    with pytest.raises(ValueError, match=words):
+        build()
 
 
 def test_forward_kinematics_two_link_oracle():

@@ -342,7 +342,7 @@ def test_contacts_and_packs_batched_by_kind_equal_the_per_pair_oracle():
     and frame derivatives are bit for bit the per-pair ones, in pair-major
     order."""
     model = mixed_kind_model()
-    assert [k.pairs.tolist() for k in model.pair_kinds] == [[0, 3, 4], [1], [2]]
+    assert [k.pairs.tolist() for k in model.pair_table.kinds] == [[0, 3, 4], [1], [2]]
     params = tight_params()
     gen = np.random.default_rng(23)
     for _ in range(10):
@@ -361,6 +361,32 @@ def test_contacts_and_packs_batched_by_kind_equal_the_per_pair_oracle():
         for name in ("Xc_inv", "Jc6", "dM", "dphi_dq"):
             assert np.array_equal(getattr(packs, name), getattr(want, name)), name
         assert np.array_equal(res.J_c, want.Jc6[:, 3:].reshape(-1, model.nv))
+
+
+def test_packs_skip_a_kind_with_no_contact(monkeypatch):
+    """With the box of mixed_kind_model (a kind of its own) lifted out of
+    margin, the packs differentiate the two other kinds alone, still bit for
+    bit the per-pair ones."""
+    model, params = mixed_kind_model(), tight_params()
+    calls = []
+
+    def counting(*args, _fn=collision.frame_derivative, **kwargs):
+        calls.append(len(args[4]))
+        return _fn(*args, **kwargs)
+
+    monkeypatch.setattr(collision, "frame_derivative", counting)
+    gen = np.random.default_rng(29)
+    for _ in range(3):
+        state = mixed_kind_state(model, gen)
+        state.q[9] += 0.5
+        res = step(model, state, gen.normal(size=model.nv), params)
+        assert 1 not in res.contacts.pair[:, 0]
+        calls.clear()
+        packs = derivatives._contact_packs(model, res)
+        assert len(calls) == 2 and sum(calls) == len(res.contacts)
+        want = contact_packs_per_pair(model, res.dyn, res.contacts)
+        for name in ("dM", "dphi_dq"):
+            assert np.array_equal(getattr(packs, name), getattr(want, name)), name
 
 
 def test_chain12_step_runs_one_narrow_phase_and_one_frame_from_normal(monkeypatch):

@@ -80,3 +80,18 @@ def test_every_module_level_import_is_used_in_its_module():
                     continue
                 unused.append(f"{path.name}: {name}")
     assert not unused, f"imported in src/ but not used in the importing module: {unused}"
+
+
+def test_only_model_and_dynamics_read_private_model_attributes():
+    """The model's private layout (`model._...`) is read by model.py and
+    dynamics.py alone; every other module goes through the model's public
+    attributes, as the contact layer does through model.pair_table."""
+    private = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name in ("model.py", "dynamics.py"):
+            continue
+        for sub in ast.walk(ast.parse(path.read_text())):
+            if isinstance(sub, ast.Attribute) and isinstance(sub.value, ast.Name) \
+                    and sub.value.id == "model" and sub.attr.startswith("_"):
+                private.setdefault(path.name, set()).add(sub.attr)
+    assert not private, f"private model attributes read outside model.py and dynamics.py: {private}"

@@ -4,6 +4,7 @@ Oracles are direct definitions (cross products, matrix exponentials via
 scipy) rather than the implementation's own closed forms.
 """
 import numpy as np
+import pytest
 import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -23,7 +24,6 @@ from diffcontact.spatial import (
     se3_right_jacobian,
     se3_right_jacobian_inverse,
     skew,
-    so3_exp,
     so3_log,
     unskew,
 )
@@ -33,6 +33,7 @@ from oracles import (
     motion_cross_blocks,
     orthonormality_error,
     p_operator_blocks,
+    so3_exp,
 )
 
 rng = np.random.default_rng(7)
@@ -67,6 +68,31 @@ def test_so3_log_round_trip():
         if np.linalg.norm(w) > np.pi - 1e-3:
             continue
         np.testing.assert_allclose(so3_log(so3_exp(w)), w, atol=1e-9)
+
+
+@pytest.mark.parametrize("gap", [1e-3, 1e-4, 1e-5, 1.1e-6, 1e-7, 1e-9, 1e-12, 0.0])
+def test_so3_log_keeps_full_precision_near_pi(gap):
+    """At an angle pi - gap the log round-trips to rounding and returns the
+    angle and the axis with its sign (either sign at exactly pi)."""
+    gen = np.random.default_rng(5)
+    axes = gen.normal(size=(300, 3))
+    axes /= np.linalg.norm(axes, axis=1)[:, None]
+    for a in axes:
+        R = so3_exp((np.pi - gap) * a)
+        w = so3_log(R)
+        assert np.abs(so3_exp(w) - R).max() <= 1e-14
+        if gap:
+            np.testing.assert_allclose(w, (np.pi - gap) * a, rtol=0, atol=1e-13)
+        else:
+            np.testing.assert_allclose(np.abs(w @ a), np.pi, rtol=1e-15)
+
+
+def test_so3_log_up_to_half_pi_is_the_skew_part_formula():
+    """Up to pi/2 the log is theta / (2 sin theta) vee(R - R^T), theta from arccos."""
+    for w in rng.uniform(-1, 1, (50, 3)):
+        R = so3_exp(w * rng.uniform(1e-3, np.pi / 2) / np.linalg.norm(w))
+        theta = np.arccos((np.trace(R) - 1.0) / 2.0)
+        assert np.array_equal(so3_log(R), theta / (2.0 * np.sin(theta)) * unskew(R - R.T))
 
 
 def test_so3_exp_tiny_angle():
