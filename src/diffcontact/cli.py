@@ -136,10 +136,11 @@ def scene_from_dict(doc: dict):
         if q.shape != (model.nq,) or v.shape != (model.nv,):
             raise SceneError(f"initial state must have nq={model.nq}, nv={model.nv} entries")
         model.check_configuration(q)
+        params = SimParams(**doc.get("params", {}))
     except ValueError as exc:
         raise SceneError(str(exc)) from exc
 
-    return model, SimState(q, v), SimParams(**doc.get("params", {}))
+    return model, SimState(q, v), params
 
 
 def load_scene(path: str):
@@ -151,12 +152,17 @@ def load_scene(path: str):
 def _read_scene_doc(path: str) -> dict:
     if os.path.exists(path):
         with open(path) as fh:
-            return json.load(fh)
+            return json.load(fh, parse_constant=_non_finite)
     name = path if path.endswith(".json") else path + ".json"
     resource = importlib.resources.files("diffcontact").joinpath("scenes", name)
     if resource.is_file():
-        return json.loads(resource.read_text())
+        return json.loads(resource.read_text(), parse_constant=_non_finite)
     raise SceneError(f"scene not found: {path} (not a file, not a bundled scene)")
+
+
+def _non_finite(token: str):
+    """json's hook for NaN, Infinity and -Infinity, which a scene may not hold."""
+    raise SceneError(f"scene holds the non-finite number {token}")
 
 
 def bundled_scenes():

@@ -57,7 +57,7 @@ class Sphere:
     radius: float
 
     def __post_init__(self):
-        if np.any(np.asarray(self.radius) <= 0.0):
+        if not np.all(np.asarray(self.radius) > 0.0):  # NaN fails
             raise ValueError("sphere radius must be positive")
 
 
@@ -67,7 +67,7 @@ class Box:
 
     def __post_init__(self):
         he = np.asarray(self.half_extents, dtype=float)
-        if he.shape[-1:] != (3,) or np.any(he <= 0.0):
+        if he.shape[-1:] != (3,) or not np.all(he > 0.0):
             raise ValueError("box half extents must be three positive numbers")
 
 
@@ -271,7 +271,7 @@ class PairTable:
             a, b = pr.geom_a, pr.geom_b
             if not (0 <= a < ng and 0 <= b < ng):
                 raise ValueError(f"pairs[{i}]: pair references unknown geometry")
-            if pr.mu < 0.0:
+            if not pr.mu >= 0.0:
                 raise ValueError(f"pairs[{i}]: friction coefficient must be >= 0")
             if a == b:
                 raise ValueError(f"pairs[{i}]: geometry {a} is paired with itself")

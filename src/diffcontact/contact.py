@@ -3,10 +3,17 @@
 sigma = G lambda + g is the contact-space velocity, Gamma the De Saxce
 correction (0, 0, mu |sigma_T|). Solved exactly (to tolerance) with a
 projected Gauss-Seidel sweep over contacts; no relaxation of the cone
-constraint or of the maximum dissipation principle. Newton steps on the
-modes the sweeps found replace PGS's linearly converging tail (_polish),
-kept only if they meet the tolerance with the same modes; redundant sets,
-where lambda is not unique, are left to PGS.
+constraint or of the maximum dissipation principle.
+
+Each contact mode is a set of equations F = L lam + K sigma = 0
+(mode_equations): lam_c = 0 (breaking), sigma_c = 0 (sticking), sigma_N = 0
+and lam_T = 0 (frictionless), sigma_N = 0 and lam_T + mu lam_N u = 0 with
+u = sigma_T/|sigma_T| (sliding). Their Jacobian L + K G is the one
+linearization of the modes: Newton steps with it on the modes the sweeps
+found replace PGS's linearly converging tail (_polish), kept only if they
+meet the tolerance with the same modes (redundant sets, where lambda is not
+unique, are left to PGS), and derivatives.step_jacobian solves with it at
+the solution.
 
 Units are whatever the caller puts into (G, g); the simulator uses impulses
 and velocities.
@@ -201,7 +208,7 @@ def solve_ncp(problem: ContactProblem, tol: float = 1e-10, max_iters: int = 1000
             w, _, info = dsyev(G[rows][:, rows], compute_v=0)  # ascending eigenvalues
             if info != 0 or w.size and w[0] <= _RANK_RTOL * w[-1]:
                 attempt = math.inf  # a redundant set: lambda is not unique
-            elif (done := _polish(problem, mus, lam, modes, rows, tol)) is not None:
+            elif (done := _polish(problem, mus, lam, modes, tol)) is not None:
                 return replace(done, iterations=sweeps)
     converged = residual <= tol
     lam = np.array(lam)
@@ -236,26 +243,36 @@ def _mode_guess(lam: list, sigma: list, mus: list, scales: list):
     return modes, rows
 
 
-def _polish(problem: ContactProblem, mus: list, lam: list, modes: list, rows: list,
+def mode_equations(mus: list, modes: list, lam, sigma):
+    """(L, K) of the mode equations F = L lam + K sigma = 0 (3n x 3n) at
+    (lam, sigma), whose Jacobian in lam is L + K G. Per contact: breaking,
+    lam_c = 0; sticking, sigma_c = 0; frictionless (sticking at mu = 0),
+    sigma_N = 0 and lam_T = 0; sliding, sigma_N = 0 and lam_T + mu lam_N u =
+    0 with u = sigma_T/|sigma_T|, whose rows carry mu u in L and its sigma
+    derivative (mu lam_N/|sigma_T|)(I - u u^T) in K. The polish takes Newton
+    steps on F; step_jacobian differentiates it at the solution."""
+    k = np.array([(m is Mode.STICKING and mu > 0.0,) * 2 + (m is not Mode.BREAKING,)
+                  for m, mu in zip(modes, mus)], dtype=float).ravel()
+    L, K, s, ln = np.diag(1.0 - k), np.diag(k), _floats(sigma), _floats(lam)
+    for i, mu in ((3 * c, mu) for c, (m, mu) in enumerate(zip(modes, mus)) if m is Mode.SLIDING):
+        s_t = math.hypot(s[i], s[i + 1])
+        u0, u1, w = s[i] / s_t, s[i + 1] / s_t, mu * ln[i + 2] / s_t
+        L[i, i + 2], L[i + 1, i + 2] = mu * u0, mu * u1
+        K[i, i], K[i, i + 1] = w - w * u0 * u0, -w * u0 * u1
+        K[i + 1, i], K[i + 1, i + 1] = -w * u0 * u1, w - w * u1 * u1
+    return L, K
+
+
+def _polish(problem: ContactProblem, mus: list, lam: list, modes: list,
             tol: float) -> ContactSolution | None:
-    """Newton steps on F = L lam + K sigma = 0: sigma = 0 on the constrained
-    rows (K), lam = 0 on the others (L = I - K), and lam_T + mu lam_N
-    sigma_T/|sigma_T| = 0 on sliding tangent rows. Returns the first iterate
-    that meets tol (a NaN residual never does) if it keeps the modes."""
+    """Newton steps on the mode equations F = L lam + K sigma = 0 of
+    mode_equations. Returns the first iterate that meets tol (a NaN
+    residual never does) if it keeps the modes."""
     G, g, lam = problem.G, problem.g, np.array(lam)
-    K = np.diag(np.bincount(rows, minlength=len(g)) * 1.0)  # rows are distinct
-    L = np.eye(len(g)) - K
-    sliding = [(3 * c, mu) for c, (m, mu) in enumerate(zip(modes, mus)) if m is Mode.SLIDING]
     sigma = G @ lam + g
     try:
         for _ in range(4):  # convergence is quadratic: one to three steps
-            s, ln = sigma.tolist(), lam.tolist()
-            for i, mu in sliding:
-                s_t = math.hypot(s[i], s[i + 1])
-                u0, u1, k = s[i] / s_t, s[i + 1] / s_t, mu * ln[i + 2] / s_t
-                L[i : i + 2, i + 2] = mu * u0, mu * u1
-                K[i : i + 2, i : i + 2] = [[k - k * u0 * u0, -k * u0 * u1],
-                                           [-k * u0 * u1, k - k * u1 * u1]]
+            L, K = mode_equations(mus, modes, lam, sigma)
             lam = lam - np.linalg.solve(L + K @ G, L @ lam + K @ sigma)
             sigma = G @ lam + g
             if (residual := ncp_residual(problem, lam, sigma)) <= tol:

@@ -1,19 +1,22 @@
 """Analytic step derivatives by implicit differentiation of the contact NCP.
 
-Differentiating the solved contact modes gives, per contact:
-  breaking: dlambda = 0 (one-sided at the mode boundary);
-  sticking: the 3x3 rows of G dlambda = -(dG lambda + dg);
-  sliding:  a 2D tangent-plane system in the basis R = [lambda/|lambda|,
-            e_z x u], with the weighting P = blockdiag((1/alpha)(I - u u^T), 1),
-            alpha = |sigma_T| / (mu lambda_N), and Q = diag(0, 1).
-Active contacts couple through the Delassus matrix into one reduced linear
-system A X = -B rhs with A = B G C + diag(Q) and dlambda = C X; B stacks
-identity rows (sticking) and R^T P rows (sliding), C the matching columns.
-Frictionless (mu = 0) active contacts reduce to their normal row alone.
-A is factored once per step by an SVD cut at _RANK_RTOL, and every theta
-block (q, v, tau, mu) solves with those factors. For mu, rhs = G p with p
-the impulse direction along the sliding cone at fixed sigma, and p is
-added back to the solved dlambda.
+At the solution the contact modes hold as the equations F = L lambda +
+K sigma = 0 of contact.mode_equations, the ones the solver's polish takes
+Newton steps on. With sigma = G lambda + g, a perturbation moves them by
+(L + K G) dlambda + K rhs = 0, with rhs = dG lambda + dg, so:
+  breaking:     dlambda_c = 0 (one-sided at the mode boundary);
+  sticking:     the 3 rows of G dlambda + rhs vanish;
+  frictionless: its normal row does, and dlambda_T = 0;
+  sliding:      its normal row does, and its tangent rows keep lambda_T +
+                mu lambda_N u on the cone as u = sigma_T/|sigma_T| turns.
+The linear system is kept on the free impulse rows (every row of a sticking
+or sliding contact, the normal row of a frictionless one): A X = -B rhs with
+A = B G C + L, B the rows of K and C the matching identity columns, so
+dlambda = C X. A is factored once per step by an SVD cut at _RANK_RTOL, and
+every theta block (q, v, tau, mu) solves with those factors. For mu, rhs =
+G p with p the impulse direction along the sliding cone at fixed sigma,
+which solves the mu-derivative of the tangent rows, and p is added back to
+the solved dlambda.
 
 The right-hand side rhs = dG lambda + dg is the derivative of the contact
 velocity at frozen impulse; it collects the smooth-dynamics partials, the
@@ -44,7 +47,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.linalg import svd
 
-from .contact import _RANK_RTOL, ContactProblem, ContactSolution, Mode
+from .contact import _RANK_RTOL, ContactProblem, ContactSolution, Mode, mode_equations
 from .dynamics import (
     applied_wrench_q_derivative,  # noqa: F401  unused; the benchmark tracer patches this name
     compute_dynamics,  # noqa: F401  unused; the benchmark tracer patches this name
@@ -60,46 +63,14 @@ from .simulator import _body_rows, _is_pair_index
 from .spatial import motion_cross, p_operator
 
 
-class SingularSlidingMode(ValueError):
-    pass
-
-
-@dataclass(frozen=True)
-class SlidingBasis:
-    """Tangent-plane basis at a sliding impulse: columns of R are the
-    impulse ray and the in-plane direction orthogonal to the slip."""
-
-    R: np.ndarray      # (..., 3, 2)
-    P: np.ndarray      # (..., 3, 3)
-
-
-def sliding_basis(lam_c: np.ndarray, sigma_c: np.ndarray, mu) -> SlidingBasis:
-    """The basis at one contact (lam_c, sigma_c of shape (3,)) or at k
-    stacked ones ((k, 3), mu (k,)); SingularSlidingMode if any is degenerate."""
-    lam_c, sigma_c = np.asarray(lam_c, dtype=float), np.asarray(sigma_c, dtype=float)
-    s_t = np.hypot(sigma_c[..., 0], sigma_c[..., 1])
-    if ((mu <= 0.0) | (s_t < 1e-14) | (mu * lam_c[..., 2] < 1e-14)).any():
-        raise SingularSlidingMode("sliding basis undefined: no slip or apex impulse")
-    u = sigma_c[..., :2] / s_t[..., None]
-    alpha = s_t / (mu * lam_c[..., 2])
-    R = np.zeros(lam_c.shape + (2,))
-    R[..., 0] = lam_c / np.sqrt(lam_c[..., None, :] @ lam_c[..., None])[..., 0]
-    R[..., 0, 1] = -u[..., 1]
-    R[..., 1, 1] = u[..., 0]
-    P = np.zeros(lam_c.shape[:-1] + (3, 3))
-    P[..., :2, :2] = (np.eye(2) - u[..., :, None] * u[..., None, :]) / alpha[..., None, None]
-    P[..., 2, 2] = 1.0
-    return SlidingBasis(R=R, P=P)
-
-
 @dataclass
 class ReducedSystem:
-    """Mode-reduced implicit system A X = -B rhs on the active contacts, with
-    dlambda = C X. A = U diag(s) Vt is factored once, with its rank decision."""
+    """Mode-reduced implicit system A X = -B rhs on the free impulse rows,
+    with dlambda = C X. A = U diag(s) Vt is factored once, with its rank
+    decision."""
 
-    A: np.ndarray      # (m, m) B G C + diag(Q)
-    B: np.ndarray      # (m, 3n)
-    C: np.ndarray      # (3n, m)
+    B: np.ndarray      # (m, 3n) rows of K
+    C: np.ndarray      # (3n, m) identity columns of the free rows
     U: np.ndarray      # (m, m)
     Vt: np.ndarray     # (m, m)
     s_inv: np.ndarray  # (m,) 1/s on the kept singular values, 0 on the cut ones
@@ -107,33 +78,17 @@ class ReducedSystem:
 
 
 def assemble_reduced_system(problem: ContactProblem, solution: ContactSolution) -> ReducedSystem:
-    """Build A = B G C + diag(Q) over the non-breaking contacts: per contact,
-    B rows and C columns I (sticking), R^T P and R (sliding, with Q =
-    diag(0, 1)) or e_z^T and e_z (frictionless), in contact order. Each
-    contact fills a 3x3 block, and the block rows its mode does not use are cut:
-    all of a breaking contact, the tangent rows of a frictionless one and the
-    last of a sliding one."""
-    n, tangent = problem.n, np.array([True, True, False])
-    modes = np.array(solution.modes, dtype=object)[:, None]
-    sticking, sliding = (modes == [Mode.STICKING, Mode.SLIDING]).T
-    st, sl = np.flatnonzero(sticking), np.flatnonzero(sliding)
-    # Block-diagonal (n, 3, n, 3) forms of B and C: [c, :, c] is contact c's block.
-    B, C, Q = np.zeros((n, 3, n, 3)), np.zeros((n, 3, n, 3)), np.zeros((n, 3))
-    B[st, :, st] = C[st, :, st] = np.eye(3)
-    if sl.size:
-        basis = sliding_basis(solution.lam.reshape(-1, 3)[sl],
-                              solution.sigma.reshape(-1, 3)[sl], problem.mu[sl])
-        B[sl, :2, sl], C[sl, :, sl, :2] = np.swapaxes(basis.R, -1, -2) @ basis.P, basis.R
-        Q[sl, 1] = 1.0
-    used = (sticking[:, None] & ~(tangent & (problem.mu == 0.0)[:, None])
-            | sliding[:, None] & tangent).ravel()
-    B = B.reshape(3 * n, 3 * n).compress(used, axis=0)
-    C = C.reshape(3 * n, 3 * n).compress(used, axis=1)
-    A = B @ problem.G @ C + np.diag(Q.ravel()[used])
-    U, s, Vt = svd(A)
+    """A = B G C + L from contact.mode_equations at the solution, on the
+    free impulse rows: all three of a sticking or sliding contact, the normal
+    row of a frictionless one, none of a breaking one."""
+    L, K = mode_equations(problem.mus, solution.modes, solution.lam, solution.sigma)
+    free = np.array([(m is not Mode.BREAKING and mu > 0.0,) * 2 + (m is not Mode.BREAKING,)
+                     for m, mu in zip(solution.modes, problem.mus)]).ravel()
+    U, s, Vt = svd((K @ problem.G + L)[np.ix_(free, free)])
     keep = s > _RANK_RTOL * s.max(initial=0.0)
     s_inv = np.divide(1.0, s, out=np.zeros_like(s), where=keep)
-    return ReducedSystem(A=A, B=B, C=C, U=U, Vt=Vt, s_inv=s_inv, deficient=not keep.all())
+    return ReducedSystem(B=K[free], C=np.eye(len(free))[:, free], U=U, Vt=Vt, s_inv=s_inv,
+                         deficient=not keep.all())
 
 
 def solve_reduced(rs: ReducedSystem, rhs: np.ndarray):

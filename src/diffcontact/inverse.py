@@ -26,8 +26,9 @@ class GnSettings:
     step_tol: float = 1e-12
 
     def __post_init__(self):
-        if min(self.max_iters, self.residual_tol, self.damping, self.step_tol) <= 0:
-            raise ValueError("Gauss-Newton settings must be positive")
+        values = (self.max_iters, self.residual_tol, self.damping, self.step_tol)
+        if not (isinstance(self.max_iters, (int, np.integer)) and all(x > 0 for x in values)):
+            raise ValueError("Gauss-Newton settings must be positive, max_iters an integer")
 
 
 @dataclass

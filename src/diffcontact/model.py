@@ -226,10 +226,10 @@ class KinematicModel:
                 if j.axis is None or not abs(np.linalg.norm(j.axis) - 1.0) <= 1e-9:
                     raise ValueError(f"joint {i} needs a unit axis")
         for i, ine in enumerate(self.inertias):
-            if ine.mass <= 0.0:
+            if not ine.mass > 0.0:  # NaN fails this check and the next
                 raise ValueError(f"body {i} mass must be positive")
             I = np.asarray(ine.inertia, dtype=float)
-            if np.abs(I - I.T).max() > 1e-12 or np.linalg.eigvalsh(I).min() <= 0.0:
+            if not (np.abs(I - I.T).max() <= 1e-12 and np.linalg.eigvalsh(I).min() > 0.0):
                 raise ValueError(f"body {i} inertia must be symmetric positive definite")
         for g in self.geometries:
             if not -1 <= g.body < self.nb:

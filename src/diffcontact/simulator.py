@@ -37,16 +37,17 @@ class SimParams:
     ncp_max_iters: int = 10000
 
     def __post_init__(self):
-        if self.dt <= 0.0:
+        if not self.dt > 0.0:  # written so that NaN fails each check
             raise ValueError(f"dt must be positive, got {self.dt}")
         for name in ("baumgarte_kp", "baumgarte_kd"):
             val = getattr(self, name)
             if not 0.0 <= val <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1], got {val}")
-        if self.contact_margin <= 0.0:
+        if not self.contact_margin > 0.0:
             raise ValueError("contact_margin must be positive")
-        if self.ncp_tol <= 0.0 or self.ncp_max_iters <= 0:
-            raise ValueError("ncp_tol and ncp_max_iters must be positive")
+        if not (self.ncp_tol > 0.0 and isinstance(self.ncp_max_iters, (int, np.integer))
+                and self.ncp_max_iters > 0):
+            raise ValueError("ncp_tol must be positive and ncp_max_iters a positive integer")
 
 
 @dataclass

@@ -3,12 +3,16 @@ projections and the De Saxce correction written out on numpy vectors, the
 force cross operator, the ad and P operators assembled block by block,
 the SO(3) exponential alone, inverse dynamics and the energies, body
 Jacobians and placements, point maps, the frozen-impulse contact-velocity
-derivative, and the contact layer run one declared pair at a time.
+derivative, the contact layer run one declared pair at a time, and the
+tangent-plane basis of a sliding contact, in which the tests restate the
+derivative's sliding rows.
 
 cone_project wraps the solver's own scalar projection, so the tests of the
 projection check the code the PGS sweep runs. The dynamics oracles are
 built from the same stacked body terms as compute_dynamics.
 """
+from dataclasses import dataclass
+
 import numpy as np
 
 from diffcontact.collision import NO_CONTACTS, ContactSet, frame_derivative, narrow_phase
@@ -170,3 +174,38 @@ def contact_packs_per_pair(model, dyn, contacts) -> _ContactDiff:
                      for (a, b), s, e in zip(contacts.pair[first].tolist(), first, ends)))
     return _ContactDiff(Xc_inv=Xc_inv, Jc6=Xc_inv @ (J12[:, 0] - J12[:, 1]),
                         dM=np.concatenate(dM), dphi_dq=np.concatenate(dphi))
+
+
+class SingularSlidingMode(ValueError):
+    pass
+
+
+@dataclass(frozen=True)
+class SlidingBasis:
+    """Tangent-plane basis at a sliding impulse: columns of R are the
+    impulse ray and the in-plane direction orthogonal to the slip."""
+
+    R: np.ndarray      # (..., 3, 2)
+    P: np.ndarray      # (..., 3, 3)
+
+
+def sliding_basis(lam_c: np.ndarray, sigma_c: np.ndarray, mu) -> SlidingBasis:
+    """The basis at one contact (lam_c, sigma_c of shape (3,)) or at k
+    stacked ones ((k, 3), mu (k,)), with the weighting P = blockdiag((1/alpha)
+    (I - u u^T), 1), alpha = |sigma_T| / (mu lambda_N); SingularSlidingMode if
+    any is degenerate. The sliding rows of the mode equations, in the
+    coordinates dlambda = R X, are R^T P (G dlambda + rhs) + diag(0, 1) X = 0."""
+    lam_c, sigma_c = np.asarray(lam_c, dtype=float), np.asarray(sigma_c, dtype=float)
+    s_t = np.hypot(sigma_c[..., 0], sigma_c[..., 1])
+    if ((mu <= 0.0) | (s_t < 1e-14) | (mu * lam_c[..., 2] < 1e-14)).any():
+        raise SingularSlidingMode("sliding basis undefined: no slip or apex impulse")
+    u = sigma_c[..., :2] / s_t[..., None]
+    alpha = s_t / (mu * lam_c[..., 2])
+    R = np.zeros(lam_c.shape + (2,))
+    R[..., 0] = lam_c / np.sqrt(lam_c[..., None, :] @ lam_c[..., None])[..., 0]
+    R[..., 0, 1] = -u[..., 1]
+    R[..., 1, 1] = u[..., 0]
+    P = np.zeros(lam_c.shape[:-1] + (3, 3))
+    P[..., :2, :2] = (np.eye(2) - u[..., :, None] * u[..., None, :]) / alpha[..., None, None]
+    P[..., 2, 2] = 1.0
+    return SlidingBasis(R=R, P=P)

@@ -29,7 +29,6 @@ from diffcontact.derivatives import (
     _contact_packs,
     collision_correction_jtl,
     collision_correction_jv,
-    sliding_basis,
     step_jacobian,
 )
 from diffcontact.fd import fd_step_jacobian
@@ -46,7 +45,7 @@ from diffcontact.simulator import (
     rollout,
     step,
 )
-from oracles import rhs_contact_velocity
+from oracles import rhs_contact_velocity, sliding_basis
 
 
 def _elapsed_ok(t0, budget, label):

@@ -239,7 +239,6 @@ def _non_unit_quaternion(doc):
 
 @pytest.mark.parametrize("corrupt, words", [
     (_zero_normal, "params.normal"),
-    (_nan_normal, "halfspace normal"),
     (_zero_joint_axis, "joint.axis"),
     (_negative_radius, "sphere radius"),
     (_flat_box, "half extents"),
@@ -274,24 +273,42 @@ def _repeated_pair(doc):
     doc["pairs"].append({"a": 1, "b": 0, "mu": 0.9})
 
 
+def _nan_dt(doc):
+    doc["params"] = {"dt": float("nan")}
+
+
+def _negative_infinite_radius(doc):
+    doc["geometries"][0]["params"]["radius"] = -float("inf")
+
+
 @pytest.mark.parametrize("corrupt, words", [
     (_sphere_without_radius, "shape 'sphere' is missing parameter 'radius'"),
     (_revolute_without_axis, "bodies[1].joint: revolute joint needs an axis"),
     (_pair_out_of_range, "pairs[0]: geometry index out of range"),
     (_repeated_pair, "pairs[1]: geometries 0 and 1 are already paired by pairs[0]"),
+    pytest.param(_nan_normal, ("halfspace normal", "scene holds the non-finite number NaN"),
+                 id="_nan_normal"),
+    pytest.param(_nan_dt, ("dt must be positive, got nan", "scene holds the non-finite number NaN"),
+                 id="_nan_dt"),
+    pytest.param(_negative_infinite_radius, ("sphere radius must be positive",
+                                             "scene holds the non-finite number -Infinity"),
+                 id="_negative_infinite_radius"),
 ])
 def test_scene_loader_rejects_incomplete_or_repeated_entries(tmp_path, capsys, corrupt, words):
     """Entries the schema admits but the loader or the model rejects raise
-    SceneError from the loader, and the CLI exits 2 with the same words."""
+    SceneError from the loader, and the CLI exits 2 with the same words. A
+    non-finite number is refused by the JSON reader first, so a pair of
+    words gives the loader's and the CLI's."""
     bad = minimal_scene()
     corrupt(bad)
-    with pytest.raises(SceneError, match=re.escape(words)):
+    scene_words, cli_words = words if isinstance(words, tuple) else (words, words)
+    with pytest.raises(SceneError, match=re.escape(scene_words)):
         scene_from_dict(bad)
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(bad))
     code, _, err = run(["simulate", "--scene", str(path)], capsys)
     assert code == 2
-    assert err.startswith("error: ") and words in err
+    assert err.startswith("error: ") and cli_words in err
 
 
 def test_pair_order_normalized(tmp_path):

@@ -18,14 +18,12 @@ from diffcontact import collision, derivatives, dynamics
 from diffcontact import model as model_module
 from diffcontact.cli import load_scene
 from diffcontact.collision import Halfspace, Sphere
-from diffcontact.contact import ContactProblem, ContactSolution, Mode, solve_ncp
+from diffcontact.contact import ContactProblem, ContactSolution, Mode, mode_equations, solve_ncp
 from diffcontact.derivatives import (
-    SingularSlidingMode,
     _contact_packs,
     assemble_reduced_system,
     collision_correction_jtl,
     collision_correction_jv,
-    sliding_basis,
     solve_reduced,
     step_jacobian,
 )
@@ -43,7 +41,7 @@ from diffcontact.model import (
 )
 from diffcontact.simulator import SimState, contact_jacobian, detect_contacts, rollout, step
 from diffcontact.spatial import Placement
-from oracles import rhs_contact_velocity
+from oracles import SingularSlidingMode, rhs_contact_velocity, sliding_basis
 
 
 def axis_angle_quat(axis, angle):
@@ -338,16 +336,16 @@ def test_step_jacobian_runs_no_narrow_phase(monkeypatch):
     assert calls == []
 
 
-def test_cube_slide_jacobian_runs_one_frame_derivative_and_one_sliding_basis(monkeypatch):
+def test_cube_slide_jacobian_runs_one_frame_derivative_and_one_mode_equations(monkeypatch):
     """The four sliding corners of cube_slide are one pair: the contact packs
     differentiate them in one frame_derivative call, and the reduced system
-    builds all four sliding bases in one sliding_basis call."""
+    linearizes all four in one mode_equations call."""
     model, state, params = load_scene("cube_slide")
     res = step(model, state, None, params)
     assert len(res.contacts) == 4 and len(model.pairs) == 1
     assert all(m is Mode.SLIDING for m in res.solution.modes)
-    calls = {"frame_derivative": [], "sliding_basis": [], "assemble_reduced_system": []}
-    for module, name in ((collision, "frame_derivative"), (derivatives, "sliding_basis"),
+    calls = {"frame_derivative": [], "mode_equations": [], "assemble_reduced_system": []}
+    for module, name in ((collision, "frame_derivative"), (derivatives, "mode_equations"),
                          (derivatives, "assemble_reduced_system")):
         def counting(*args, _fn=getattr(module, name), _name=name, **kwargs):
             calls[_name].append(1)
@@ -356,7 +354,7 @@ def test_cube_slide_jacobian_runs_one_frame_derivative_and_one_sliding_basis(mon
         monkeypatch.setattr(module, name, counting)
     step_jacobian(model, state, None, params, res, theta=["q", "v", "tau", "mu"])
     assert len(calls["frame_derivative"]) == 1
-    assert len(calls["sliding_basis"]) == len(calls["assemble_reduced_system"]) == 1
+    assert len(calls["mode_equations"]) == len(calls["assemble_reduced_system"]) == 1
 
 
 def test_chain12_jacobian_runs_one_frame_derivative_and_no_narrow_phase(monkeypatch):
@@ -525,6 +523,11 @@ def _sticking_solution(G, lam, mu):
     )
 
 
+def _factored(rs):
+    """A = U diag(s) Vt, reassembled from the factors of a full-rank system."""
+    return (rs.U / rs.s_inv) @ rs.Vt
+
+
 def test_reduced_system_all_sticking_is_full_G():
     gen = np.random.default_rng(11)
     A = gen.normal(size=(6, 6))
@@ -532,8 +535,8 @@ def test_reduced_system_all_sticking_is_full_G():
     problem = ContactProblem(G=G, g=gen.normal(size=6), mu=np.array([0.4, 0.4]))
     sol = _sticking_solution(G, gen.normal(size=6), 0.4)
     rs = assemble_reduced_system(problem, sol)
-    assert rs.A.shape[0] == 6
-    np.testing.assert_allclose(rs.A, G, atol=1e-15)
+    assert rs.U.shape[0] == 6
+    np.testing.assert_allclose(_factored(rs), G, atol=1e-13)
     # solve_reduced then reproduces -G^{-1} rhs
     rhs = gen.normal(size=(6, 4))
     dlam, deficient = solve_reduced(rs, rhs)
@@ -556,8 +559,8 @@ def test_reduced_system_frictionless_keeps_normal_rows():
         converged=True,
     )
     rs = assemble_reduced_system(problem, sol)
-    assert rs.A.shape[0] == 1
-    np.testing.assert_allclose(rs.A, G[2:3, 2:3])
+    assert rs.U.shape[0] == 1
+    np.testing.assert_allclose(_factored(rs), G[2:3, 2:3])
     rhs = gen.normal(size=(3, 2))
     dlam, deficient = solve_reduced(rs, rhs)
     assert not deficient
@@ -581,15 +584,17 @@ def test_reduced_system_skips_breaking_contacts():
         converged=True,
     )
     rs = assemble_reduced_system(problem, sol)
-    assert rs.A.shape[0] == 3
-    np.testing.assert_allclose(rs.A, G[3:, 3:])
+    assert rs.U.shape[0] == 3
+    np.testing.assert_allclose(_factored(rs), G[3:, 3:])
     dlam, _ = solve_reduced(rs, np.eye(6))
     np.testing.assert_allclose(dlam[:3], 0.0)
 
 
 def test_reduced_system_matches_operator_composition():
-    """B, C and A = B G C + diag(Q), against per-contact blocks built from
-    sliding_basis and the identity."""
+    """solve_reduced's dlambda against the sliding-basis composition: per
+    contact, B rows and C columns I (sticking) or R^T P and R (sliding, with
+    Q = diag(0, 1)), and dlambda = C X with (B G C + Q) X = -B rhs. Every row
+    of both contacts is free, with B the rows of K and C the identity."""
     gen = np.random.default_rng(14)
     mu = np.array([0.6, 0.8])
     prob = None
@@ -607,8 +612,10 @@ def test_reduced_system_matches_operator_composition():
     else:
         pytest.fail("no mixed sliding/sticking sample found")
     rs = assemble_reduced_system(prob, sol)
-    assert rs.A.shape[0] == 5
-    # expected B rows, C columns and Q block per contact, in contact order
+    _, K = mode_equations(prob.mus, sol.modes, sol.lam, sol.sigma)
+    np.testing.assert_array_equal(rs.B, K)
+    np.testing.assert_array_equal(rs.C, np.eye(6))
+    # the oracle's B rows, C columns and Q block per contact, in contact order
     B, C, Q = np.zeros((5, 6)), np.zeros((6, 5)), np.zeros((5, 5))
     off = 0
     for c, mode in enumerate(sol.modes):
@@ -623,15 +630,43 @@ def test_reduced_system_matches_operator_composition():
             B[off : off + 3, i : i + 3] = np.eye(3)
             C[i : i + 3, off : off + 3] = np.eye(3)
             off += 3
-    np.testing.assert_allclose(rs.B, B, atol=1e-15)
-    np.testing.assert_allclose(rs.C, C, atol=1e-15)
-    np.testing.assert_allclose(rs.A, B @ prob.G @ C + Q, atol=1e-12)
-    # solve_reduced returns C X with A X = -B rhs
     rhs = gen.normal(size=(6, 3))
     dlam, deficient = solve_reduced(rs, rhs)
     assert not deficient
     np.testing.assert_allclose(dlam, C @ np.linalg.solve(B @ prob.G @ C + Q, -B @ rhs),
                                atol=1e-9)
+
+
+def test_mode_equations_jacobian_matches_central_differences():
+    """L + K G is the Jacobian of F(lambda) = L lambda + K sigma, with
+    sigma = G lambda + g and (L, K) re-evaluated at each lambda, on converged
+    random problems that together hold sliding, sticking, breaking and
+    frictionless contacts."""
+    gen = np.random.default_rng(31)
+    seen, eps = set(), 1e-6
+    for _ in range(60):
+        n = int(gen.integers(2, 5))
+        A = gen.normal(size=(3 * n, 3 * n))
+        G = A @ A.T + 0.05 * np.eye(3 * n)
+        mu = np.where(gen.random(n) < 0.3, 0.0, gen.uniform(0.2, 1.2, n))
+        prob = ContactProblem(G=G, g=gen.normal(size=3 * n), mu=mu)
+        sol = solve_ncp(prob, tol=1e-13, max_iters=20000)
+        if not sol.converged or sol.ambiguous.any():
+            continue
+
+        def F(lam):
+            sigma = G @ lam + prob.g
+            L, K = mode_equations(prob.mus, sol.modes, lam, sigma)
+            return L @ lam + K @ sigma
+
+        L, K = mode_equations(prob.mus, sol.modes, sol.lam, sol.sigma)
+        fd = np.column_stack([(F(sol.lam + eps * e) - F(sol.lam - eps * e)) / (2 * eps)
+                              for e in np.eye(3 * n)])
+        np.testing.assert_allclose(L + K @ G, fd, rtol=0, atol=1e-6 * max(1.0, np.abs(fd).max()))
+        np.testing.assert_allclose(F(sol.lam), 0.0, atol=1e-9)
+        seen.update("frictionless" if m is Mode.STICKING and mu_c == 0.0 else m.value
+                    for m, mu_c in zip(sol.modes, mu))
+    assert seen == {"sliding", "sticking", "breaking", "frictionless"}
 
 
 def test_solve_reduced_flags_redundant_active_set():

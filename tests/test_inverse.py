@@ -31,6 +31,10 @@ def test_settings_validation():
         dict(residual_tol=0.0),
         dict(damping=-1e-8),
         dict(step_tol=0.0),
+        dict(max_iters=2.5),
+        dict(residual_tol=float("nan")),
+        dict(damping=float("nan")),
+        dict(step_tol=float("nan")),
     ):
         with pytest.raises(ValueError):
             GnSettings(**kwargs)

@@ -203,20 +203,28 @@ _FREE = JointSpec("free", -1)
     (lambda: KinematicModel([_FREE], []), "one inertia per body"),
     (lambda: KinematicModel([JointSpec("ball", -1)], [_body_inertia()]), "unknown joint kind"),
     (lambda: KinematicModel([_FREE], [_body_inertia(mass=0.0)]), "mass must be positive"),
+    (lambda: KinematicModel([_FREE], [_body_inertia(mass=np.nan)]), "mass must be positive"),
     (lambda: KinematicModel([_FREE], [_body_inertia(inertia=np.diag([0.01, 0.01, -0.01]))]),
      "symmetric positive definite"),
+    (lambda: KinematicModel([_FREE], [_body_inertia(inertia=np.diag([0.01, np.nan, 0.01]))]),
+     "symmetric positive definite"),
+    (lambda: Sphere(np.nan), "sphere radius must be positive"),
+    (lambda: Box(np.array([0.1, np.nan, 0.1])), "box half extents"),
     (lambda: KinematicModel([_FREE], [_body_inertia()], [Geometry(1, SPHERE)]),
      "geometry attached to unknown body"),
     (lambda: KinematicModel([_FREE], [_body_inertia()], [Geometry(0, SPHERE)],
                             [FrictionPair(0, 1, 0.5)]), "pair references unknown geometry"),
     (lambda: KinematicModel([_FREE], [_body_inertia()], [Geometry(0, SPHERE), Geometry(-1, GROUND)],
                             [FrictionPair(0, 1, -0.1)]), "friction coefficient"),
+    (lambda: KinematicModel([_FREE], [_body_inertia()], [Geometry(0, SPHERE), Geometry(-1, GROUND)],
+                            [FrictionPair(0, 1, np.nan)]), "friction coefficient"),
     (lambda: cube_model().check_configuration(np.zeros(6)), "configuration must have shape"),
     (lambda: compute_kinematics(cube_model(), np.zeros(6)), "configuration must have shape"),
     (lambda: integrate(cube_model(), np.zeros(7), np.zeros(7)), "integrate: dimension mismatch"),
     (lambda: difference(cube_model(), np.zeros(7), np.zeros(6)), "difference: dimension mismatch"),
-], ids=["actuated", "inertia-count", "joint-kind", "mass", "inertia-spd", "geometry-body",
-        "pair-geometry", "friction", "check-shape", "kinematics-shape", "integrate-shape",
+], ids=["actuated", "inertia-count", "joint-kind", "mass", "mass-nan", "inertia-spd",
+        "inertia-nan", "radius-nan", "half-extents-nan", "geometry-body", "pair-geometry",
+        "friction", "friction-nan", "check-shape", "kinematics-shape", "integrate-shape",
         "difference-shape"])
 def test_invalid_model_input_raises(build, words):
     with pytest.raises(ValueError, match=words):

@@ -46,6 +46,11 @@ GRAVITY = 9.81
         dict(contact_margin=0.0),
         dict(ncp_tol=0.0),
         dict(ncp_max_iters=0),
+        dict(dt=float("nan")),
+        dict(contact_margin=float("nan")),
+        dict(ncp_tol=float("nan")),
+        dict(baumgarte_kp=float("nan")),
+        dict(ncp_max_iters=2.5),
     ],
 )
 def test_params_validation(kwargs):
