@@ -47,12 +47,16 @@ def _load_schema() -> dict:
     return json.loads(text)
 
 
-def _placement_from(doc) -> Placement:
+def _placement_from(doc, where: str) -> Placement:
+    """The placement of a scene entry; its quaternion is scaled to unit length."""
     if not doc:
         return Placement.identity()
     t = np.asarray(doc.get("translation", (0.0, 0.0, 0.0)), dtype=float)
     quat = np.asarray(doc.get("quaternion_xyzw", (0.0, 0.0, 0.0, 1.0)), dtype=float)
-    return Placement(quat_to_rotation(quat), t)
+    norm = np.linalg.norm(quat)
+    if not 0.0 < norm < np.inf:
+        raise SceneError(f"{where}.quaternion_xyzw {quat.tolist()} cannot be scaled to unit length")
+    return Placement(quat_to_rotation(quat / norm), t)
 
 
 def _shape_from(kind: str, params: dict):
@@ -90,8 +94,8 @@ def scene_from_dict(doc: dict):
             if axis is None:
                 raise SceneError(f"bodies[{i}].joint: {jd['kind']} joint needs an axis")
             axis = axis / np.linalg.norm(axis)
-        joints.append(JointSpec(jd["kind"], int(jd["parent"]),
-                                _placement_from(jd.get("placement")), axis))
+        placement = _placement_from(jd.get("placement"), f"bodies[{i}].joint.placement")
+        joints.append(JointSpec(jd["kind"], int(jd["parent"]), placement, axis))
         inertias.append(BodyInertia(
             mass=float(body["mass"]),
             com=np.asarray(body.get("com", (0.0, 0.0, 0.0)), dtype=float),
@@ -105,8 +109,8 @@ def scene_from_dict(doc: dict):
             if body not in names:
                 raise SceneError(f"geometries[{i}]: unknown body name '{body}'")
             body = names[body]
-        geometries.append(Geometry(int(body), _shape_from(gd["shape"], gd["params"]),
-                                   _placement_from(gd.get("placement"))))
+        placement = _placement_from(gd.get("placement"), f"geometries[{i}].placement")
+        geometries.append(Geometry(int(body), _shape_from(gd["shape"], gd["params"]), placement))
 
     pairs = []
     for i, pd in enumerate(doc.get("pairs", [])):
@@ -150,9 +154,16 @@ def load_scene(path: str):
 
 
 def _read_scene_doc(path: str) -> dict:
+    """The parsed scene file at path, else the bundled scene of that name. A
+    file that cannot be read or is not UTF-8 JSON raises SceneError."""
     if os.path.exists(path):
-        with open(path) as fh:
-            return json.load(fh, parse_constant=_non_finite)
+        try:
+            with open(path, encoding="utf-8") as fh:
+                return json.load(fh, parse_constant=_non_finite)
+        except OSError as exc:
+            raise SceneError(f"scene file {path}: {exc.strerror}") from exc
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise SceneError(f"scene file {path}: {exc}") from exc
     name = path if path.endswith(".json") else path + ".json"
     resource = importlib.resources.files("diffcontact").joinpath("scenes", name)
     if resource.is_file():

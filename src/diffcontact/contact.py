@@ -8,12 +8,15 @@ constraint or of the maximum dissipation principle.
 Each contact mode is a set of equations F = L lam + K sigma = 0
 (mode_equations): lam_c = 0 (breaking), sigma_c = 0 (sticking), sigma_N = 0
 and lam_T = 0 (frictionless), sigma_N = 0 and lam_T + mu lam_N u = 0 with
-u = sigma_T/|sigma_T| (sliding). Their Jacobian L + K G is the one
-linearization of the modes: Newton steps with it on the modes the sweeps
-found replace PGS's linearly converging tail (_polish), kept only if they
-meet the tolerance with the same modes (redundant sets, where lambda is not
-unique, are left to PGS), and derivatives.step_jacobian solves with it at
-the solution.
+u = sigma_T/|sigma_T| (sliding). mode_rows is the one rule for which rows a
+mode constrains (K's diagonal) and which impulse rows it leaves free. The
+Jacobian L + K G is the one linearization of the modes: Newton steps with it
+on the modes the sweeps found replace PGS's linearly converging tail
+(_polish), kept only if they meet the tolerance with the same modes
+(redundant sets, where lambda is not unique, are left to PGS), and
+derivatives.step_jacobian solves with it at the solution, on the free rows,
+for every parameter block; F's partial in mu, F_mu, is the mu block's
+right-hand side.
 
 Units are whatever the caller puts into (G, g); the simulator uses impulses
 and velocities.
@@ -204,7 +207,8 @@ def solve_ncp(problem: ContactProblem, tol: float = 1e-10, max_iters: int = 1000
             sigma = (G @ np.array(lam) + g).tolist()  # refresh incremental updates
         residual = ncp_residual(problem, lam, sigma)
         if residual > tol and sweeps >= attempt:
-            attempt, (modes, rows) = 2 * attempt, _mode_guess(lam, sigma, mus, scales)
+            attempt, modes = 2 * attempt, _mode_guess(lam, sigma, mus, scales)
+            rows = mode_rows(mus, modes)[0]
             w, _, info = dsyev(G[rows][:, rows], compute_v=0)  # ascending eigenvalues
             if info != 0 or w.size and w[0] <= _RANK_RTOL * w[-1]:
                 attempt = math.inf  # a redundant set: lambda is not unique
@@ -227,40 +231,56 @@ def _sweep_setup(G: np.ndarray, n: int):
     return [s if s > 1e-14 else 1.0 for s in norms.tolist()], G.T.reshape(n, 3, 3 * n).tolist()
 
 
-def _mode_guess(lam: list, sigma: list, mus: list, scales: list):
+def _mode_guess(lam: list, sigma: list, mus: list, scales: list) -> list:
     """Each contact's mode by its next PGS projection: polar (breaking),
-    interior (sticking, or active frictionless) or cone boundary (sliding);
-    and the rows of G those modes constrain."""
-    modes, rows = [], []
-    for c, (mu, s, (l0, l1, l2), (s0, s1, s2)) in enumerate(
-            zip(mus, scales, _triples(lam), _triples(sigma))):
+    interior (sticking, or active frictionless) or cone boundary (sliding)."""
+    modes = []
+    for mu, s, (l0, l1, l2), (s0, s1, s2) in zip(mus, scales, _triples(lam), _triples(sigma)):
         q2 = l2 - (s2 + mu * math.hypot(s0, s1)) / s
         p2 = _project(l0 - s0 / s, l1 - s1 / s, q2, mu)[2]
-        stick = p2 == q2 and mu > 0.0
         modes.append(Mode.BREAKING if p2 == 0.0 else
-                     Mode.STICKING if stick or mu == 0.0 else Mode.SLIDING)
-        rows += [] if p2 == 0.0 else [3 * c, 3 * c + 1, 3 * c + 2] if stick else [3 * c + 2]
-    return modes, rows
+                     Mode.STICKING if p2 == q2 or mu == 0.0 else Mode.SLIDING)
+    return modes
+
+
+def mode_rows(mus: list, modes: list):
+    """The rows (t1, t2, normal per contact) the modes act on, as two (3n,)
+    boolean masks. constrained, the rows where F holds sigma (K's diagonal):
+    all three of a sticking contact with mu > 0, the normal row of any other
+    active contact. free, the impulse rows left to solve for: all three of an
+    active contact with mu > 0, the normal row of a frictionless one. A
+    breaking contact has neither."""
+    constrained, free = [], []
+    for m, mu in zip(modes, mus):
+        active, friction = m is not Mode.BREAKING, mu > 0.0
+        stick = m is Mode.STICKING and friction
+        constrained += (stick, stick, active)
+        free += (active and friction, active and friction, active)
+    return np.array(constrained, dtype=bool), np.array(free, dtype=bool)
 
 
 def mode_equations(mus: list, modes: list, lam, sigma):
-    """(L, K) of the mode equations F = L lam + K sigma = 0 (3n x 3n) at
-    (lam, sigma), whose Jacobian in lam is L + K G. Per contact: breaking,
-    lam_c = 0; sticking, sigma_c = 0; frictionless (sticking at mu = 0),
-    sigma_N = 0 and lam_T = 0; sliding, sigma_N = 0 and lam_T + mu lam_N u =
-    0 with u = sigma_T/|sigma_T|, whose rows carry mu u in L and its sigma
-    derivative (mu lam_N/|sigma_T|)(I - u u^T) in K. The polish takes Newton
-    steps on F; step_jacobian differentiates it at the solution."""
-    k = np.array([(m is Mode.STICKING and mu > 0.0,) * 2 + (m is not Mode.BREAKING,)
-                  for m, mu in zip(modes, mus)], dtype=float).ravel()
+    """(L, K, F_mu) of the mode equations F = L lam + K sigma = 0 (3n x 3n)
+    at (lam, sigma), whose Jacobian in lam is L + K G, and F_mu (3n,), the
+    partial of F in each contact's own mu. Per contact: breaking, lam_c = 0;
+    sticking, sigma_c = 0; frictionless (sticking at mu = 0), sigma_N = 0 and
+    lam_T = 0; sliding, sigma_N = 0 and lam_T + mu lam_N u = 0 with u =
+    sigma_T/|sigma_T|, whose rows carry mu u in L, its sigma derivative
+    (mu lam_N/|sigma_T|)(I - u u^T) in K and lam_N u in F_mu. Elsewhere K is
+    mode_rows' constrained mask on the diagonal and L its complement. The
+    polish takes Newton steps on F; step_jacobian differentiates it at the
+    solution."""
+    k = mode_rows(mus, modes)[0].astype(float)
     L, K, s, ln = np.diag(1.0 - k), np.diag(k), _floats(sigma), _floats(lam)
+    F_mu = np.zeros(len(k))
     for i, mu in ((3 * c, mu) for c, (m, mu) in enumerate(zip(modes, mus)) if m is Mode.SLIDING):
         s_t = math.hypot(s[i], s[i + 1])
         u0, u1, w = s[i] / s_t, s[i + 1] / s_t, mu * ln[i + 2] / s_t
         L[i, i + 2], L[i + 1, i + 2] = mu * u0, mu * u1
         K[i, i], K[i, i + 1] = w - w * u0 * u0, -w * u0 * u1
         K[i + 1, i], K[i + 1, i + 1] = -w * u0 * u1, w - w * u1 * u1
-    return L, K
+        F_mu[i], F_mu[i + 1] = ln[i + 2] * u0, ln[i + 2] * u1
+    return L, K, F_mu
 
 
 def _polish(problem: ContactProblem, mus: list, lam: list, modes: list,
@@ -272,7 +292,7 @@ def _polish(problem: ContactProblem, mus: list, lam: list, modes: list,
     sigma = G @ lam + g
     try:
         for _ in range(4):  # convergence is quadratic: one to three steps
-            L, K = mode_equations(mus, modes, lam, sigma)
+            L, K, _ = mode_equations(mus, modes, lam, sigma)
             lam = lam - np.linalg.solve(L + K @ G, L @ lam + K @ sigma)
             sigma = G @ lam + g
             if (residual := ncp_residual(problem, lam, sigma)) <= tol:

@@ -2,21 +2,22 @@
 
 At the solution the contact modes hold as the equations F = L lambda +
 K sigma = 0 of contact.mode_equations, the ones the solver's polish takes
-Newton steps on. With sigma = G lambda + g, a perturbation moves them by
-(L + K G) dlambda + K rhs = 0, with rhs = dG lambda + dg, so:
+Newton steps on. With sigma = G lambda + g, they keep holding under a
+change of theta when (L + K G) dlambda = -dF/dtheta, the partial of F at
+fixed lambda, so:
   breaking:     dlambda_c = 0 (one-sided at the mode boundary);
   sticking:     the 3 rows of G dlambda + rhs vanish;
   frictionless: its normal row does, and dlambda_T = 0;
   sliding:      its normal row does, and its tangent rows keep lambda_T +
                 mu lambda_N u on the cone as u = sigma_T/|sigma_T| turns.
-The linear system is kept on the free impulse rows (every row of a sticking
-or sliding contact, the normal row of a frictionless one): A X = -B rhs with
-A = B G C + L, B the rows of K and C the matching identity columns, so
-dlambda = C X. A is factored once per step by an SVD cut at _RANK_RTOL, and
-every theta block (q, v, tau, mu) solves with those factors. For mu, rhs =
-G p with p the impulse direction along the sliding cone at fixed sigma,
-which solves the mu-derivative of the tangent rows, and p is added back to
-the solved dlambda.
+The linear system is kept on the free impulse rows of contact.mode_rows:
+A X = -b with A = C^T (L + K G) C, C the identity columns of those rows,
+b = C^T dF/dtheta and dlambda = C X. A is factored once per step by an SVD
+cut at _RANK_RTOL, and every theta block solves with those factors. For q,
+v and tau, dF/dtheta = K rhs with rhs = dG lambda + dg, so b = B rhs with
+B = C^T K. For mu, dF/dtheta is mode_equations' F_mu (lambda_N u on a
+sliding contact's tangent rows), kept on the contacts of the pair each
+column belongs to.
 
 The right-hand side rhs = dG lambda + dg is the derivative of the contact
 velocity at frozen impulse; it collects the smooth-dynamics partials, the
@@ -47,7 +48,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.linalg import svd
 
-from .contact import _RANK_RTOL, ContactProblem, ContactSolution, Mode, mode_equations
+from .contact import _RANK_RTOL, ContactProblem, ContactSolution, mode_equations, mode_rows
 from .dynamics import (
     applied_wrench_q_derivative,  # noqa: F401  unused; the benchmark tracer patches this name
     compute_dynamics,  # noqa: F401  unused; the benchmark tracer patches this name
@@ -65,12 +66,13 @@ from .spatial import motion_cross, p_operator
 
 @dataclass
 class ReducedSystem:
-    """Mode-reduced implicit system A X = -B rhs on the free impulse rows,
-    with dlambda = C X. A = U diag(s) Vt is factored once, with its rank
-    decision."""
+    """The mode equations' Jacobian on the free impulse rows, A = C^T (L + K G) C,
+    for A X = -b with b = C^T dF/dtheta and dlambda = C X. A = U diag(s) Vt
+    is factored once, with its rank decision."""
 
-    B: np.ndarray      # (m, 3n) rows of K
+    B: np.ndarray      # (m, 3n) rows of K: b = B rhs for rhs = dG lambda + dg
     C: np.ndarray      # (3n, m) identity columns of the free rows
+    F_mu: np.ndarray   # (3n,) partial of F in each contact's own mu
     U: np.ndarray      # (m, m)
     Vt: np.ndarray     # (m, m)
     s_inv: np.ndarray  # (m,) 1/s on the kept singular values, 0 on the cut ones
@@ -78,25 +80,23 @@ class ReducedSystem:
 
 
 def assemble_reduced_system(problem: ContactProblem, solution: ContactSolution) -> ReducedSystem:
-    """A = B G C + L from contact.mode_equations at the solution, on the
-    free impulse rows: all three of a sticking or sliding contact, the normal
-    row of a frictionless one, none of a breaking one."""
-    L, K = mode_equations(problem.mus, solution.modes, solution.lam, solution.sigma)
-    free = np.array([(m is not Mode.BREAKING and mu > 0.0,) * 2 + (m is not Mode.BREAKING,)
-                     for m, mu in zip(solution.modes, problem.mus)]).ravel()
+    """A = C^T (L + K G) C from contact.mode_equations at the solution, on
+    the free impulse rows of contact.mode_rows, with B = C^T K and F_mu."""
+    L, K, F_mu = mode_equations(problem.mus, solution.modes, solution.lam, solution.sigma)
+    free = mode_rows(problem.mus, solution.modes)[1]
     U, s, Vt = svd((K @ problem.G + L)[np.ix_(free, free)])
     keep = s > _RANK_RTOL * s.max(initial=0.0)
     s_inv = np.divide(1.0, s, out=np.zeros_like(s), where=keep)
-    return ReducedSystem(B=K[free], C=np.eye(len(free))[:, free], U=U, Vt=Vt, s_inv=s_inv,
-                         deficient=not keep.all())
+    return ReducedSystem(B=K[free], C=np.eye(len(free))[:, free], F_mu=F_mu, U=U, Vt=Vt,
+                         s_inv=s_inv, deficient=not keep.all())
 
 
-def solve_reduced(rs: ReducedSystem, rhs: np.ndarray):
-    """dlambda = C X with X = Vt^T diag(s_inv) U^T (-B rhs), the minimum-norm
-    solution of A X = -B rhs on the kept singular values; returns it with
-    the rank flag. The expanded impulse derivative is unique in
-    J_c^T dlambda even when dlambda itself is not."""
-    X = rs.Vt.T @ (rs.s_inv[:, None] * (rs.U.T @ -(rs.B @ rhs)))
+def solve_reduced(rs: ReducedSystem, b: np.ndarray):
+    """dlambda = C X with X = Vt^T diag(s_inv) U^T (-b), the minimum-norm
+    solution of A X = -b on the kept singular values, for b (m, k) on the
+    free rows; returns it with the rank flag. The expanded impulse derivative
+    is unique in J_c^T dlambda even when dlambda itself is not."""
+    X = rs.Vt.T @ (rs.s_inv[:, None] * (rs.U.T @ -b))
     return rs.C @ X, rs.deficient
 
 
@@ -252,20 +252,6 @@ def _frozen_impulse_rhs(model, state, params, result, smooth):
     return dvp, rhs
 
 
-def _mu_impulse_direction(model, result, cols) -> np.ndarray:
-    """d lambda / d mu along the sliding cone boundary at fixed sigma, one
-    column per pair in `cols`; zero for non-sliding contacts."""
-    contacts, sol = result.contacts, result.solution
-    sl = np.flatnonzero(np.array(sol.modes, dtype=object) == Mode.SLIDING)
-    mu, lam_n, sig = contacts.friction[sl], sol.lam[3 * sl + 2], sol.sigma.reshape(-1, 3)[sl]
-    u = sig[:, :2] / np.hypot(sig[:, 0], sig[:, 1])[:, None]
-    along = (-lam_n / (1.0 + mu * mu))[:, None] * np.column_stack([u, mu])
-    in_col = model.pair_table.pair_index(contacts.pair[sl])[:, None] == np.array(cols)
-    p_dir = np.zeros((len(contacts), 3, len(cols)))
-    p_dir[sl] = np.where(in_col[:, None, :], along[:, :, None], 0.0)
-    return p_dir.reshape(-1, len(cols))
-
-
 def step_jacobian(model: KinematicModel, state, tau, params, result, theta="all") -> StepJacobian:
     """Derivatives of (v+, q+, lambda*) w.r.t. theta in {q, v, tau, mu}.
 
@@ -288,19 +274,17 @@ def step_jacobian(model: KinematicModel, state, tau, params, result, theta="all"
         out.converged = result.solution.converged
         rs = assemble_reduced_system(result.problem, result.solution)
         out.rank_deficient = rs.deficient
-        if mu_cols is not None:
-            p_dir = _mu_impulse_direction(model, result, mu_cols)
-            rhs["mu"] = result.problem.G @ p_dir
+        b = {t: rs.B @ rhs_t for t, rhs_t in rhs.items()}
+        if mu_cols is not None:  # dF/dmu: F_mu on the contacts of each column's pair
+            pair = np.repeat(model.pair_table.pair_index(contacts.pair), 3)
+            b["mu"] = rs.C.T @ np.where(pair[:, None] == mu_cols, rs.F_mu[:, None], 0.0)
 
     for t, dvp_t in dvp.items():
         if not contacts:
             out.dlam[t], out.dv[t] = np.zeros((0, dvp_t.shape[1])), dvp_t
             continue
-        dlam_t = solve_reduced(rs, rhs[t])[0]
-        if t == "mu":
-            dlam_t = dlam_t + p_dir
-        out.dlam[t] = dlam_t
-        out.dv[t] = dvp_t + result.Minv_JcT @ dlam_t
+        out.dlam[t] = solve_reduced(rs, b[t])[0]
+        out.dv[t] = dvp_t + result.Minv_JcT @ out.dlam[t]
 
     dt = params.dt
     Dq, Dd = integrate_jacobians(model, dt * result.state.v)

@@ -322,6 +322,45 @@ def test_pair_order_normalized(tmp_path):
     assert model.pairs[0].geom_a == 0 and model.pairs[0].geom_b == 1
 
 
+def test_placement_quaternion_is_normalized(tmp_path, capsys):
+    """A placement quaternion of any positive length gives the rotation of
+    its unit direction; a zero one is rejected with the entry's path."""
+    yaw = [0.0, 0.0, np.sin(np.pi / 8), np.cos(np.pi / 8)]
+    rotations = []
+    for scale in (1.0, 2.0):
+        doc = minimal_scene()
+        doc["geometries"][0]["placement"] = {"quaternion_xyzw": [scale * x for x in yaw]}
+        rotations.append(scene_from_dict(doc)[0].geometries[0].placement.rotation)
+    np.testing.assert_allclose(rotations[1], rotations[0], rtol=0, atol=1e-15)
+    np.testing.assert_allclose(rotations[0] @ rotations[0].T, np.eye(3), atol=1e-15)
+    np.testing.assert_allclose(rotations[0][:2, 0], [np.cos(np.pi / 4), np.sin(np.pi / 4)])
+    doc = minimal_scene()
+    doc["bodies"][0]["joint"]["placement"] = {"quaternion_xyzw": [0, 0, 0, 0]}
+    path = tmp_path / "zero.json"
+    path.write_text(json.dumps(doc))
+    code, _, err = run(["simulate", "--scene", str(path)], capsys)
+    assert code == 2
+    assert err.startswith("error: bodies[0].joint.placement.quaternion_xyzw [0.0, 0.0, 0.0, 0.0]")
+
+
+@pytest.mark.parametrize("content, words", [
+    pytest.param(b'{"name": "x", ', "Expecting property name", id="not_json"),
+    pytest.param(b"\xff\xfe{}", "can't decode byte 0xff", id="not_utf8"),
+    pytest.param(None, "Is a directory", id="directory"),
+])
+def test_unreadable_scene_file_exits_2(tmp_path, capsys, content, words):
+    """A scene file that cannot be read or parsed ends in an error line and
+    exit code 2, not a traceback."""
+    path = tmp_path / "scene.json"
+    if content is None:
+        path.mkdir()
+    else:
+        path.write_bytes(content)
+    code, _, err = run(["simulate", "--scene", str(path)], capsys)
+    assert code == 2
+    assert err.startswith(f"error: scene file {path}: ") and words in err
+
+
 def test_solve_inverse_requires_target(capsys):
     code, _, err = run(
         ["solve-inverse", "--scene", "cube_slide", "--problem", "estimate-v0"],

@@ -18,6 +18,8 @@ from diffcontact.cli import load_scene
 from diffcontact.contact import (
     ContactProblem,
     Mode,
+    mode_equations,
+    mode_rows,
     ncp_residual,
     solve_ncp,
 )
@@ -525,3 +527,29 @@ def test_polish_is_rejected_when_classification_disagrees(monkeypatch):
         prob = random_psd_problem(gen, int(gen.integers(1, 5)))
         sol = solve_ncp(prob, tol=1e-12, max_iters=200000)
         assert sol.converged and not sol.polished
+
+
+# -- the rows each mode acts on ---------------------------------------------
+
+
+@pytest.mark.parametrize("mode, mu, constrained, free", [
+    (Mode.BREAKING, 0.0, (0, 0, 0), (0, 0, 0)),
+    (Mode.BREAKING, 0.5, (0, 0, 0), (0, 0, 0)),
+    (Mode.STICKING, 0.0, (0, 0, 1), (0, 0, 1)),  # frictionless
+    (Mode.STICKING, 0.5, (1, 1, 1), (1, 1, 1)),
+    (Mode.SLIDING, 0.5, (0, 0, 1), (1, 1, 1)),
+])
+def test_mode_rows_table(mode, mu, constrained, free):
+    """Per contact (t1, t2, normal): the rows where F holds sigma, and the
+    impulse rows left free, each contact's at its own offset. For a contact
+    that does not slide, mode_equations' K is the constrained mask on the
+    diagonal and L its complement."""
+    mus, modes = [0.3, mu, 0.3], [Mode.BREAKING, mode, Mode.STICKING]
+    got_constrained, got_free = mode_rows(mus, modes)
+    assert got_constrained.dtype == got_free.dtype == bool
+    np.testing.assert_array_equal(got_constrained, (0, 0, 0) + constrained + (1, 1, 1))
+    np.testing.assert_array_equal(got_free, (0, 0, 0) + free + (1, 1, 1))
+    if mode is not Mode.SLIDING:  # a sliding contact's K block is not diagonal
+        L, K, _ = mode_equations(mus, modes, np.tile([0.1, 0.2, 1.0], 3), np.zeros(9))
+        np.testing.assert_array_equal(K, np.diag(got_constrained.astype(float)))
+        np.testing.assert_array_equal(L, np.eye(9) - K)

@@ -10,6 +10,8 @@ from conftest import (
     chain_model,
     cube_model,
     jacobian_errors,
+    mixed_kind_model,
+    mixed_kind_state,
     sphere_model,
     tight_params,
     translation,
@@ -206,6 +208,32 @@ def test_step_jacobian_accepts_numpy_pair_index():
         jac = step_jacobian(model, state, None, params, res, theta=("mu", k))
         for blk in ("dv", "dq", "dlam"):
             assert np.array_equal(getattr(jac, blk)["mu"], getattr(ref, blk)["mu"])
+
+
+def test_every_mu_column_matches_fd_where_pairs_slide():
+    """Every friction pair's column (theta="mu") of mixed_kind_model against
+    central differences, at seeded states where at least two pairs slide:
+    each column takes F_mu on its own pair's contacts only, and the pair
+    with no contact gets a zero column. The FD noise grows as ncp_tol/eps
+    (1.3e-5 at eps = 1e-7 on one of these states), so eps is 1e-6."""
+    model, params = mixed_kind_model(), tight_params()
+    gen = np.random.default_rng(3)
+    checked = 0
+    for _ in range(40):
+        state = mixed_kind_state(model, gen)
+        res = step(model, state, None, params)
+        sliding = {int(k) for k, m in zip(model.pair_table.pair_index(res.contacts.pair),
+                                          res.solution.modes) if m is Mode.SLIDING}
+        if len(sliding) < 2:
+            continue
+        checked += 1
+        jac = step_jacobian(model, state, None, params, res, theta="mu")
+        fd = fd_step_jacobian(model, state, None, params, theta="mu", eps=1e-6, base=res)
+        assert jac.dv["mu"].shape == (model.nv, len(model.pairs))
+        errs = jacobian_errors(jac, fd, ("mu",))
+        assert max(errs.values()) < 1e-5, errs
+        assert not jac.dv["mu"][:, 3].any()  # sphere 4 is half a metre up
+    assert checked >= 10
 
 
 @pytest.mark.parametrize("scene", ["cube_slide", "chain12"])
@@ -539,7 +567,7 @@ def test_reduced_system_all_sticking_is_full_G():
     np.testing.assert_allclose(_factored(rs), G, atol=1e-13)
     # solve_reduced then reproduces -G^{-1} rhs
     rhs = gen.normal(size=(6, 4))
-    dlam, deficient = solve_reduced(rs, rhs)
+    dlam, deficient = solve_reduced(rs, rs.B @ rhs)
     assert not deficient
     np.testing.assert_allclose(dlam, -np.linalg.solve(G, rhs), atol=1e-10)
 
@@ -562,7 +590,7 @@ def test_reduced_system_frictionless_keeps_normal_rows():
     assert rs.U.shape[0] == 1
     np.testing.assert_allclose(_factored(rs), G[2:3, 2:3])
     rhs = gen.normal(size=(3, 2))
-    dlam, deficient = solve_reduced(rs, rhs)
+    dlam, deficient = solve_reduced(rs, rs.B @ rhs)
     assert not deficient
     # tangential derivative rows stay pinned at zero
     np.testing.assert_allclose(dlam[:2], 0.0)
@@ -586,7 +614,7 @@ def test_reduced_system_skips_breaking_contacts():
     rs = assemble_reduced_system(problem, sol)
     assert rs.U.shape[0] == 3
     np.testing.assert_allclose(_factored(rs), G[3:, 3:])
-    dlam, _ = solve_reduced(rs, np.eye(6))
+    dlam, _ = solve_reduced(rs, rs.B @ np.eye(6))
     np.testing.assert_allclose(dlam[:3], 0.0)
 
 
@@ -612,7 +640,7 @@ def test_reduced_system_matches_operator_composition():
     else:
         pytest.fail("no mixed sliding/sticking sample found")
     rs = assemble_reduced_system(prob, sol)
-    _, K = mode_equations(prob.mus, sol.modes, sol.lam, sol.sigma)
+    _, K, _ = mode_equations(prob.mus, sol.modes, sol.lam, sol.sigma)
     np.testing.assert_array_equal(rs.B, K)
     np.testing.assert_array_equal(rs.C, np.eye(6))
     # the oracle's B rows, C columns and Q block per contact, in contact order
@@ -631,7 +659,7 @@ def test_reduced_system_matches_operator_composition():
             C[i : i + 3, off : off + 3] = np.eye(3)
             off += 3
     rhs = gen.normal(size=(6, 3))
-    dlam, deficient = solve_reduced(rs, rhs)
+    dlam, deficient = solve_reduced(rs, rs.B @ rhs)
     assert not deficient
     np.testing.assert_allclose(dlam, C @ np.linalg.solve(B @ prob.G @ C + Q, -B @ rhs),
                                atol=1e-9)
@@ -639,9 +667,11 @@ def test_reduced_system_matches_operator_composition():
 
 def test_mode_equations_jacobian_matches_central_differences():
     """L + K G is the Jacobian of F(lambda) = L lambda + K sigma, with
-    sigma = G lambda + g and (L, K) re-evaluated at each lambda, on converged
-    random problems that together hold sliding, sticking, breaking and
-    frictionless contacts."""
+    sigma = G lambda + g and (L, K) re-evaluated at each lambda, and F_mu is
+    its partial in each contact's own mu, with (L, K) re-evaluated at each mu,
+    on converged random problems that together hold sliding, sticking,
+    breaking and frictionless contacts. A frictionless contact changes its
+    equations with mu, so only its F_mu = 0 is checked."""
     gen = np.random.default_rng(31)
     seen, eps = set(), 1e-6
     for _ in range(60):
@@ -654,16 +684,22 @@ def test_mode_equations_jacobian_matches_central_differences():
         if not sol.converged or sol.ambiguous.any():
             continue
 
-        def F(lam):
+        def F(lam, mus=prob.mus):
             sigma = G @ lam + prob.g
-            L, K = mode_equations(prob.mus, sol.modes, lam, sigma)
+            L, K, _ = mode_equations(mus, sol.modes, lam, sigma)
             return L @ lam + K @ sigma
 
-        L, K = mode_equations(prob.mus, sol.modes, sol.lam, sol.sigma)
+        L, K, F_mu = mode_equations(prob.mus, sol.modes, sol.lam, sol.sigma)
         fd = np.column_stack([(F(sol.lam + eps * e) - F(sol.lam - eps * e)) / (2 * eps)
                               for e in np.eye(3 * n)])
         np.testing.assert_allclose(L + K @ G, fd, rtol=0, atol=1e-6 * max(1.0, np.abs(fd).max()))
         np.testing.assert_allclose(F(sol.lam), 0.0, atol=1e-9)
+        own = np.repeat(np.eye(n), 3, axis=0)  # (3n, n): row i belongs to contact i // 3
+        fd_mu = np.column_stack([(F(sol.lam, list(mu + eps * e)) - F(sol.lam, list(mu - eps * e)))
+                                 / (2 * eps) for e in np.eye(n)])
+        np.testing.assert_allclose((F_mu[:, None] * own)[:, mu > 0], fd_mu[:, mu > 0],
+                                   rtol=0, atol=1e-6 * max(1.0, np.abs(fd_mu).max()))
+        np.testing.assert_array_equal(F_mu.reshape(n, 3)[mu == 0.0], 0.0)
         seen.update("frictionless" if m is Mode.STICKING and mu_c == 0.0 else m.value
                     for m, mu_c in zip(sol.modes, mu))
     assert seen == {"sliding", "sticking", "breaking", "frictionless"}
@@ -678,7 +714,7 @@ def test_solve_reduced_flags_redundant_active_set():
     sol = _sticking_solution(G, gen.normal(size=6), 0.5)
     rs = assemble_reduced_system(problem, sol)
     rhs = np.tile(gen.normal(size=(3, 2)), (2, 1))
-    dlam, deficient = solve_reduced(rs, rhs)
+    dlam, deficient = solve_reduced(rs, rs.B @ rhs)
     assert deficient
     # rhs lies in range(G): the least-squares solution still solves exactly
     np.testing.assert_allclose(G @ dlam, -rhs, atol=1e-9)

@@ -95,3 +95,16 @@ def test_only_model_and_dynamics_read_private_model_attributes():
                     and sub.value.id == "model" and sub.attr.startswith("_"):
                 private.setdefault(path.name, set()).add(sub.attr)
     assert not private, f"private model attributes read outside model.py and dynamics.py: {private}"
+
+
+def test_only_contact_names_the_contact_modes():
+    """Which rows a mode acts on and how F moves with mu are decided in
+    contact.py (mode_rows, mode_equations); no other module in src/ imports
+    or names Mode, except __init__.py's re-export."""
+    naming = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name in ("contact.py", "__init__.py"):
+            continue
+        if _names_used(ast.parse(path.read_text()))["Mode"]:
+            naming.append(path.name)
+    assert not naming, f"modules other than contact.py that name Mode: {naming}"
